@@ -4,15 +4,12 @@ The PR-7 acceptance measurement, recorded under ``compiled_engine`` in
 ``results/BENCH_pipeline.json``:
 
 * **differential**: on every function of the 40-program corpus, every
-  shipped spec's compiled detection equals the interpreted oracle's —
-  the identical solution list — and the eval accounting reconciles
-  (``interpreted.constraint_evals == compiled.constraint_evals +
-  compiled.evals_pruned``);
-* **fingerprints**: a compiled-engine corpus report is
-  detection-fingerprint-identical to the naive reference
-  ``detect_corpus(jobs=1, shared_cache=False, engine="interpreted")``;
+  shipped spec's compiled detection (``detect``) equals the interpreted
+  reference's (``detect_interpreted``) — the identical solution list —
+  and the eval accounting reconciles (``interpreted.constraint_evals ==
+  compiled.constraint_evals + compiled.evals_pruned``);
 * **speedup**: corpus-wide detection wall-clock, compiled/shared vs
-  interpreted/per-call (the PR-1 baseline).  Legs are interleaved
+  interpreted/per-call (a fresh cache per call).  Legs are interleaved
   round by round and the per-round ratio's **median** is reported —
   legs inside one round share machine conditions, so the ratio is
   robust to load swings that wreck absolute best-of-N timings.  The
@@ -34,9 +31,9 @@ from repro.constraints import (
     detect,
 )
 from repro.constraints.plan import compile_plan
+from repro.constraints.solver import detect_interpreted
 from repro.evaluation.render import table
 from repro.idioms import IdiomRegistry
-from repro.pipeline import detect_corpus
 from repro.workloads import corpus
 
 #: Interleaved measurement rounds (median-of-rounds reported).
@@ -46,10 +43,10 @@ ROUNDS = int(os.environ.get("REPRO_BENCH_ROUNDS", "5"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_MIN_SOLVER_SPEEDUP", "5.0"))
 
 LEGS = (
-    ("interpreted/per-call", "interpreted", False),
-    ("interpreted/shared", "interpreted", True),
-    ("compiled/shared", "compiled", True),
-    ("compiled/per-call", "compiled", False),
+    ("interpreted/per-call", detect_interpreted, False),
+    ("interpreted/shared", detect_interpreted, True),
+    ("compiled/shared", detect, True),
+    ("compiled/per-call", detect, False),
 )
 
 
@@ -63,16 +60,15 @@ def _corpus_contexts():
     return contexts
 
 
-def _run_leg(contexts, specs, engine, shared):
+def _run_leg(contexts, specs, search, shared):
     """One corpus-wide detection pass; returns (wall, stats)."""
     stats = SolverStats()
     started = time.perf_counter()
     for ctx in contexts:
         cache = SharedSolverCache()
         for spec in specs:
-            detect(ctx, spec, stats=stats,
-                   cache=cache if shared else SharedSolverCache(),
-                   engine=engine)
+            search(ctx, spec, stats=stats,
+                   cache=cache if shared else SharedSolverCache())
     return time.perf_counter() - started, stats
 
 
@@ -87,31 +83,22 @@ def test_compiled_engine_differential_and_speedup():
     mismatches = 0
     for ctx in contexts:
         for spec in specs:
-            interpreted = detect(ctx, spec, cache=SharedSolverCache(),
-                                 engine="interpreted")
-            compiled = detect(ctx, spec, cache=SharedSolverCache(),
-                              engine="compiled")
+            interpreted = detect_interpreted(ctx, spec,
+                                             cache=SharedSolverCache())
+            compiled = detect(ctx, spec, cache=SharedSolverCache())
             if compiled != interpreted:
                 mismatches += 1
     assert mismatches == 0
 
-    # -- fingerprints: compiled report ≡ the naive reference ----------
-    reference = detect_corpus(jobs=1, shared_cache=False,
-                              engine="interpreted")
-    report = detect_corpus(jobs=1, engine="compiled")
-    assert report.fingerprint(effort=False) == reference.fingerprint(
-        effort=False
-    )
-
     # -- interleaved wall-clock measurement ---------------------------
-    _run_leg(contexts, specs, "compiled", True)  # warm the caches/JIT
+    _run_leg(contexts, specs, detect, True)  # warm the caches/JIT
     best: dict = {}
     stats_of: dict = {}
     ratios = []
     for _ in range(ROUNDS):
         walls = {}
-        for label, engine, shared in LEGS:
-            wall, stats = _run_leg(contexts, specs, engine, shared)
+        for label, search, shared in LEGS:
+            wall, stats = _run_leg(contexts, specs, search, shared)
             walls[label] = wall
             stats_of[label] = stats
             if label not in best or wall < best[label]:
@@ -159,7 +146,6 @@ def test_compiled_engine_differential_and_speedup():
             best["interpreted/per-call"] / best["compiled/shared"], 3
         ),
         "asserted_floor": MIN_SPEEDUP,
-        "detection_fingerprint_identical_to_naive": True,
     }
     write_artifact("BENCH_pipeline.json", json.dumps(payload, indent=2))
 

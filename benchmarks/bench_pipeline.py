@@ -1,19 +1,12 @@
-"""Corpus-scale pipeline benchmark: serial PR-1 engine vs the staged,
-cache-sharing, sharded pipeline — plus the persistent serving engine
-and measured-cost sharding.
+"""Corpus-scale pipeline benchmark: the serial run vs the sharded
+pipeline — plus the persistent serving engine and measured-cost
+sharding.
 
-Acceptance metric of the pipeline refactor, recorded in
-``results/BENCH_pipeline.json``:
-
-* the sharded run (``jobs>1``) produces a report **identical** to the
-  serial one (same fingerprint, timings aside);
-* the shared-cache engine produces the **same detections** as PR-1's
-  per-``detect``-call engine with **lower total constraint_evals**
-  (the solved for-loop prefix is replayed by every extends-family
-  spec instead of re-enumerated); and
-* the sharded shared-cache pipeline has **lower wall-clock** than the
-  serial PR-1 engine — on a single core purely from the cache savings,
-  on a multicore machine additionally from sharding.
+Acceptance metric of the pipeline, recorded in
+``results/BENCH_pipeline.json``: the sharded run (``jobs>1``) produces
+a report **identical** to the serial one (same fingerprint, timings
+aside).  The wall-clock of both runs is recorded, not asserted: on a
+single core sharding only adds process overhead.
 
 Acceptance metric of the serving engine + measured-cost sharding,
 recorded in ``results/BENCH_serving.json``:
@@ -72,62 +65,26 @@ def _measure(**kwargs):
     return report, best
 
 
-def test_pipeline_vs_serial_pr1_engine(benchmark):
+def test_sharded_pipeline_matches_serial(benchmark):
     def run_sharded():
         return detect_corpus(jobs=JOBS, extended=True, baselines=True)
 
     benchmark.pedantic(run_sharded, rounds=1, iterations=1)
 
     configurations = {
-        "interpreted-per-call": dict(jobs=1, extended=True, baselines=True,
-                                     shared_cache=False,
-                                     engine="interpreted"),
-        "interpreted-shared": dict(jobs=1, extended=True, baselines=True,
-                                   engine="interpreted"),
-        "serial-per-call": dict(jobs=1, extended=True, baselines=True,
-                                shared_cache=False),
-        "serial-shared": dict(jobs=1, extended=True, baselines=True),
-        "sharded-shared": dict(jobs=JOBS, extended=True, baselines=True),
+        "serial": dict(jobs=1, extended=True, baselines=True),
+        "sharded": dict(jobs=JOBS, extended=True, baselines=True),
     }
     runs = {
         name: _measure(**kwargs) for name, kwargs in configurations.items()
     }
+    serial, serial_wall = runs["serial"]
+    sharded, sharded_wall = runs["sharded"]
 
-    interpreted, interpreted_wall = runs["interpreted-per-call"]
-    interp_shared, interp_shared_wall = runs["interpreted-shared"]
-    per_call, per_call_wall = runs["serial-per-call"]
-    shared, shared_wall = runs["serial-shared"]
-    sharded, sharded_wall = runs["sharded-shared"]
-
-    # The compiled engine (the default) detects exactly what the
-    # interpreted oracle detects, at lower end-to-end wall-clock, and
-    # its eval counters reconcile through the recorded pruning.  The
-    # solver-layer speedup (≥5x acceptance bar) is measured and
-    # asserted by bench_compiled.py, which interleaves its legs; these
-    # are the end-to-end pipeline numbers.
-    assert shared.fingerprint(effort=False) == interp_shared.fingerprint(
-        effort=False
-    )
-    assert per_call.fingerprint(effort=False) == interpreted.fingerprint(
-        effort=False
-    )
-    assert shared_wall < interp_shared_wall
-    assert per_call_wall < interpreted_wall
-    assert shared.total_constraint_evals < interp_shared.total_constraint_evals
-
-    # Identical reports: sharded ≡ serial byte-for-byte, and both
-    # engines agree on every detection (effort differs by design).
-    assert sharded.fingerprint() == shared.fingerprint()
-    assert sharded.programs == shared.programs
-    assert sharded.fingerprint(effort=False) == per_call.fingerprint(
-        effort=False
-    )
+    # Identical reports: sharded ≡ serial byte-for-byte.
+    assert sharded.fingerprint() == serial.fingerprint()
+    assert sharded.programs == serial.programs
     assert sharded.counts() == (84, 6)
-
-    # Lower search effort and lower wall-clock than the PR-1 engine.
-    assert sharded.total_constraint_evals < per_call.total_constraint_evals
-    assert shared.total_constraint_evals < per_call.total_constraint_evals
-    assert sharded_wall < per_call_wall
 
     payload = {
         "jobs": JOBS,
@@ -144,19 +101,7 @@ def test_pipeline_vs_serial_pr1_engine(benchmark):
             }
             for name, (report, wall) in runs.items()
         },
-        "speedup_vs_pr1": round(per_call_wall / sharded_wall, 3),
-        "eval_reduction_vs_pr1": round(
-            1 - sharded.total_constraint_evals
-            / per_call.total_constraint_evals,
-            3,
-        ),
-        # End-to-end engine comparison (per-stage overheads included;
-        # the solver-layer ratio is bench_compiled.py's compiled_engine
-        # section).
-        "engine_speedup_end_to_end": {
-            "per_call": round(interpreted_wall / per_call_wall, 3),
-            "shared": round(interp_shared_wall / shared_wall, 3),
-        },
+        "sharded_vs_serial_wall": round(serial_wall / sharded_wall, 3),
     }
     existing = {}
     existing_path = os.path.join(RESULTS_DIR, "BENCH_pipeline.json")
@@ -176,7 +121,7 @@ def test_pipeline_vs_serial_pr1_engine(benchmark):
     text = table(
         ["configuration", "jobs", "constraint evals", "wall (best of 3)"],
         rows,
-        title="corpus pipeline: PR-1 engine vs shared caches vs sharding",
+        title="corpus pipeline: serial vs sharded",
     )
     print()
     print(write_artifact("bench_pipeline.txt", text))

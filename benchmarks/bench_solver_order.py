@@ -29,6 +29,7 @@ from repro.constraints import (
     detect,
     suggest_order,
 )
+from repro.constraints.solver import detect_interpreted
 from repro.evaluation.render import table
 from repro.idioms.forloop import for_loop_spec
 from repro.idioms.scalar_reduction import (
@@ -128,6 +129,11 @@ def test_enumeration_order_ablation(benchmark):
     assert rows[3][2] > rows[2][2]  # reversed works harder on mri-q
 
 
+def _naive_walk(ctx, spec, stats):
+    """The full-tree walk: every conjunct re-checked at every binding."""
+    return detect_interpreted(ctx, spec, stats=stats, incremental=False)
+
+
 def test_incremental_solver_ablation():
     """Incremental conjunct indexing vs the naive full-tree walk.
 
@@ -143,11 +149,11 @@ def test_incremental_solver_ablation():
         module = program(workload).fresh_module()
         ctx = SolverContext(module.get_function(function), module)
         runs = {}
-        for mode, incremental in (("incremental", True), ("naive", False)):
+        for mode, search in (("incremental", detect),
+                             ("naive", _naive_walk)):
             stats = SolverStats()
             started = time.perf_counter()
-            solutions = detect(ctx, spec, stats=stats,
-                               incremental=incremental)
+            solutions = search(ctx, spec, stats=stats)
             elapsed = time.perf_counter() - started
             runs[mode] = (solutions, stats)
             per_solution = stats.constraint_evals / max(1, stats.solutions)

@@ -365,7 +365,6 @@ def _cmd_corpus(args) -> int:
                            granularity=args.granularity,
                            weights_from=args.weights_from,
                            spec_orders=feedback_orders,
-                           engine=args.engine,
                            explore=args.explore,
                            explore_seed=args.explore_seed)
     results = {
@@ -889,11 +888,6 @@ def main(argv: list[str] | None = None) -> int:
                             choices=("program", "function"),
                             default="program",
                             help="work-unit granularity for sharding")
-    corpus_cmd.add_argument("--engine",
-                            choices=("compiled", "interpreted"),
-                            default=None,
-                            help="solver execution engine (default: "
-                                 "compiled flat-plan engine)")
     corpus_cmd.add_argument("--weights-from", metavar="REPORT.json",
                             default=None,
                             help="balance shards by a previous run's "

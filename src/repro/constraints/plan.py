@@ -1,6 +1,6 @@
 """Flat evaluation plans — the compiled constraint engine.
 
-The incremental solver (:mod:`.solver`) still *interprets* a tree of
+The reference solver (:mod:`.solver`) *interprets* a tree of
 Python constraint objects per candidate: every search node walks the
 depth's conjunct slice, dispatches ``partial_check`` through a method
 lookup, and rebuilds memo keys with per-lookup sorting.  At corpus
@@ -27,14 +27,6 @@ depth-slice once, per spec, into a :class:`FlatPlan`:
   ``interpreted.constraint_evals == plan.constraint_evals +
   plan.evals_pruned`` holds per search — fingerprint accounting stays
   honest;
-* **numpy-vectorized candidate filtering** — when the solver falls
-  back to the whole value universe, a data-parallel atom (opcode
-  membership, constant-likeness) rejects the bulk of the batch with
-  one array mask; survivors run the exact per-candidate loop, and the
-  rejected candidates' counters are accounted in bulk with the same
-  position arithmetic, so results *and statistics* are identical with
-  or without numpy (graceful fallback when it is absent, or when
-  ``REPRO_NO_NUMPY`` is set);
 * **partial-prefix replay tries** — full-prefix replay
   (``base_solutions``) requires the extension's label order to start
   with the base's *entire* order.  The plan engine extends
@@ -49,38 +41,23 @@ depth-slice once, per spec, into a :class:`FlatPlan`:
   replayed frontier, re-validated against the extension's own
   conjuncts, reaches exactly the solutions the native search reaches.
 
-The interpreted engine is unchanged and remains the differential
-oracle; :func:`detect_plan` is bit-identical to it in solutions,
-assignments tried, rejections, universe fallbacks, proposal cache hits
-and candidate statistics, and eval-exact modulo the recorded pruning.
+:func:`~repro.constraints.solver.detect_interpreted` keeps the
+constraint-object interpreter as the test reference; :func:`detect_plan`
+is bit-identical to it in solutions, assignments tried, rejections,
+universe fallbacks, proposal cache hits and candidate statistics, and
+eval-exact modulo the recorded pruning.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from typing import Iterator, Mapping
 
 from ..ir.values import Value
 from .core import PARTIAL_VACUOUS, IdiomSpec, SolverContext
 from .logical import intersect_proposals
 
-if os.environ.get("REPRO_NO_NUMPY"):  # CI fallback leg / forced-off switch
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except Exception:  # pragma: no cover - environment without numpy
-        _np = None
-
 #: Slot value marking an unbound label.
 _UNBOUND = object()
-
-#: Minimum candidate-batch size before the vectorized filter engages —
-#: below this the mask setup costs more than the Python loop it saves.
-#: Results and statistics are identical either way (the cutoff is a
-#: pure performance knob, and deterministic).
-_BATCH_MIN = 24
 
 #: Stand-in bound when no solution limit is set: one comparison against
 #: a never-reached integer replaces a None test per search node.
@@ -178,10 +155,9 @@ class PlanStep:
     slice with its precomputed eval/pruned accounting.
     """
 
-    __slots__ = ("label", "slot", "chain", "proposers", "batch",
-                 "dep_slots")
+    __slots__ = ("label", "slot", "chain", "proposers", "dep_slots")
 
-    def __init__(self, label, slot, chain, proposers, batch):
+    def __init__(self, label, slot, chain, proposers):
         self.label = label
         self.slot = slot
         self.chain = chain
@@ -196,9 +172,6 @@ class PlanStep:
         #: two-bound-label cases skip tuple iteration (``single`` /
         #: ``double``).
         self.proposers = proposers
-        #: Optional bulk candidate filter ``fn(ctx, numpy) -> mask``
-        #: derived from the first kept check.
-        self.batch = batch
         #: Sorted union of the slots all proposer rows read — the
         #: value ids at these slots determine every row's proposal, so
         #: ``(step, ids)`` keys a whole-depth candidate memo.
@@ -253,12 +226,12 @@ class PruneDecision:
 
 
 def _compile_slice(entries, slot_of, bound_of, *, where, depth,
-                   known_keys=None, batch_label=None, implied=None):
+                   known_keys=None, implied=None):
     """Lower one ordered conjunct slice into kept checks.
 
     ``entries`` yields ``(index, conjunct, labelset)`` in schedule
     order; ``bound_of(labelset)`` names the exact bound label subset at
-    this point.  Returns ``(checks, tail_pruned, decisions, batch)``
+    this point.  Returns ``(checks, tail_pruned, decisions)``
     where ``decisions`` is the list of :class:`PruneDecision` records
     (one per dropped conjunct, so ``len(decisions)`` is the slice's
     pruned count).  ``known_keys`` seeds the redundancy pass with
@@ -273,7 +246,6 @@ def _compile_slice(entries, slot_of, bound_of, *, where, depth,
     pending = 0
     decisions: list[PruneDecision] = []
     established: dict = dict(known_keys) if known_keys else {}
-    batch = None
     for index, conjunct, labelset in entries:
         bound = bound_of(labelset)
         lowered = conjunct.compile_partial(frozenset(bound), slot_of)
@@ -309,17 +281,13 @@ def _compile_slice(entries, slot_of, bound_of, *, where, depth,
             continue
         if lowered is None:
             lowered = _generic_partial(conjunct)
-        if batch is None and not checks and batch_label is not None:
-            factory = getattr(conjunct, "compile_batch_filter", None)
-            if factory is not None:
-                batch = factory(batch_label)
         checks.append((lowered, pending))
         pending = 0
         if key is not None:
             established.setdefault(key, conjunct)
             for implied_key in conjunct.implied_structural_keys():
                 established.setdefault(implied_key, conjunct)
-    return tuple(checks), pending, decisions, batch
+    return tuple(checks), pending, decisions
 
 
 class FlatPlan:
@@ -360,7 +328,7 @@ class FlatPlan:
                 for i in compiled.proposers.get(label, ())
                 if conjuncts[i].propose_implies_partial(bound_before, label)
             }
-            checks, tail, decisions, batch = _compile_slice(
+            checks, tail, decisions = _compile_slice(
                 (
                     (i, conjuncts[i], labelsets[i])
                     for i in compiled.schedule[k]
@@ -369,7 +337,6 @@ class FlatPlan:
                 lambda labelset, _b=bound_after: labelset & _b,
                 where="depth",
                 depth=k,
-                batch_label=label,
                 implied=implied or None,
             )
             self.conjuncts_pruned += len(decisions)
@@ -394,8 +361,7 @@ class FlatPlan:
                 )
             proposers = tuple(proposers)
             self.steps.append(
-                PlanStep(label, k, CheckChain(checks, tail), proposers,
-                         batch)
+                PlanStep(label, k, CheckChain(checks, tail), proposers)
             )
 
         #: Depth → label table, used when flushing per-depth candidate
@@ -408,7 +374,7 @@ class FlatPlan:
         if self.prefix_len:
             prefix_set = set(order[: self.prefix_len])
             base_keys = self._base_established_keys(spec.base, prefix_set)
-            checks, tail, decisions, _ = _compile_slice(
+            checks, tail, decisions = _compile_slice(
                 (
                     (i, conjuncts[i], labelsets[i])
                     for i in compiled.replay_indices
@@ -488,7 +454,7 @@ class FlatPlan:
             if id(conjuncts[i]) not in base_ids
             and (labelsets[i] & prefix_set)
         ]
-        checks, tail, decisions, _ = _compile_slice(
+        checks, tail, decisions = _compile_slice(
             replay,
             self.slot_of,
             lambda labelset, _p=prefix_set: labelset & _p,
@@ -528,8 +494,7 @@ def _codegen_search(plan: FlatPlan):
     constants).  ``mode`` selects a fresh search from depth 0 (``0``),
     a full-prefix replay of ``frontier`` (``1``), or a partial-prefix
     trie replay (``2``); the replay bodies are specialized per plan —
-    binder slots, check chain and entry depth are baked in.  numpy is
-    re-read from this module per batch so runtime toggles keep working.
+    binder slots, check chain and entry depth are baked in.
     """
     order = plan.order
     nslots = len(order)
@@ -537,10 +502,7 @@ def _codegen_search(plan: FlatPlan):
         "order": order,
         "slot_of": plan.slot_of,
         "_UNBOUND": _UNBOUND,
-        "_NO_LIMIT": _NO_LIMIT,
-        "_BATCH_MIN": _BATCH_MIN,
         "intersect_proposals": intersect_proposals,
-        "_plan_module": sys.modules[__name__],
     }
     lines: list[str] = []
 
@@ -682,22 +644,6 @@ def _codegen_search(plan: FlatPlan):
             w(2, "n_fallbacks += 1")
         w(2, f"nv{k} += 1")
         w(2, f"nc{k} += len(candidates)")
-        if step.batch is not None and chain.fns:
-            env[f"batch{k}"] = step.batch
-            guard = "fu and " if rows else ""
-            w(2, "np = _plan_module._np")
-            w(2, f"if {guard}np is not None and limit_v == _NO_LIMIT "
-                 f"and len(candidates) >= _BATCH_MIN:")
-            w(3, f"mask = batch{k}(ctx, np)")
-            w(3, "survivors = [candidates[j] for j in np.nonzero(mask)[0]]")
-            w(3, "dropped = len(candidates) - len(survivors)")
-            w(3, "if dropped:")
-            w(4, "n_tried += dropped")
-            w(4, "n_rejected += dropped")
-            w(4, "n_evals += dropped")
-            if chain.fail_pruned[0]:
-                w(4, f"n_pruned += dropped * {chain.fail_pruned[0]}")
-            w(3, "candidates = survivors")
         emit_loop(2, k, chain, step.slot)
 
     for k in range(nslots):
@@ -814,8 +760,9 @@ def detect_plan(
 ):
     """All assignments satisfying ``spec`` — the compiled engine.
 
-    Drop-in equivalent of :func:`~repro.constraints.solver.detect`:
-    identical solutions in identical order, identical search counters
+    Equivalent to the interpreted reference
+    (:func:`~repro.constraints.solver.detect_interpreted`): identical
+    solutions in identical order, identical search counters
     (``assignments_tried``, ``partial_rejections``, ``solutions``,
     ``fallbacks_to_universe``, candidate statistics, proposal cache
     hits, prefix reuses), and ``constraint_evals + evals_pruned`` equal

@@ -12,15 +12,20 @@ Candidates for the next label come from constraint *proposals*
 only when nothing proposes does the solver fall back to the whole value
 universe, which is what makes a well-chosen label order crucial (§3.3).
 
-The solver hot path is **incremental**: each spec is pre-compiled
+The search is **incremental**: each spec is pre-compiled
 (:class:`CompiledSpec`) into a per-depth index of top-level conjuncts
 that mention the label bound at that depth.  Binding label ``k`` then
 re-checks only the newly-decidable/affected conjuncts instead of
 re-walking the whole constraint tree — sound because a conjunct's
 partial verdict only depends on the bindings of its own labels, so
 unaffected conjuncts keep the verdict they produced at an earlier
-depth.  The naive full-tree walk is kept behind ``incremental=False``
-for differential testing, and both paths count conjunct evaluations in
+depth.  :func:`detect` runs that search through the flat-plan engine
+(:mod:`~repro.constraints.plan`), which lowers the index into one
+generated search function per spec.  :func:`detect_interpreted` walks
+the same index over the constraint objects: it is the test reference
+(the only check that the plan engine's ``constraint_evals +
+evals_pruned`` reconciles), and its ``incremental=False`` mode keeps
+the naive full-tree walk.  Every path counts conjunct evaluations in
 :attr:`SolverStats.constraint_evals` (the CoreDiag-flavored metric: how
 much redundant constraint evaluation was eliminated).
 
@@ -33,9 +38,8 @@ and a spec with a :attr:`~repro.constraints.core.IdiomSpec.base` replays
 the base's solved prefix tuples instead of re-enumerating the shared
 for-loop search space — the Bailleux & Boufkhad view of the extension
 idioms as *constraint reductions* of one for-loop formulation.  Passing
-``cache=SharedSolverCache()`` restores fully per-call state (the PR-1
-engine), which the differential tests and the pipeline benchmark use as
-the comparison baseline.
+``cache=SharedSolverCache()`` gives one search private state, which the
+differential tests compare against the shared cache.
 
 :func:`detect_brute_force` is the exponential §3.2 strawman, kept for
 differential testing and for the ablation benchmark.
@@ -478,48 +482,46 @@ def detect(
     spec: IdiomSpec,
     stats: SolverStats | None = None,
     limit: int | None = None,
-    incremental: bool = True,
     cache: SharedSolverCache | None = None,
-    engine: str | None = None,
 ) -> list[dict[str, Value]]:
     """All assignments satisfying ``spec`` in ``ctx``'s function.
 
-    ``engine`` picks the execution strategy:
-
-    * ``"compiled"`` — the flat-evaluation-plan engine
-      (:func:`~repro.constraints.plan.detect_plan`): slot-indexed atom
-      closures, compile-time redundancy pruning (recorded in
-      ``SolverStats.evals_pruned``), optional vectorized candidate
-      filtering and partial-prefix trie replay.  Identical solutions
-      and search counters; ``constraint_evals`` reflects only the
-      evaluations actually performed;
-    * ``"interpreted"`` — this module's constraint-object interpreter,
-      the differential oracle.  ``incremental=False`` further selects
-      the naive full-tree walk (the original Fig. 6 formulation)
-      instead of the per-depth conjunct index;
-    * None (default) — ``"compiled"`` when ``incremental`` is true,
-      the interpreted tree walk otherwise, preserving the historical
-      meaning of ``incremental=False``.
-
-    Both engines accept/reject exactly the same partial assignments
-    and return solutions in the same order.
+    Runs the flat-plan engine (:func:`~repro.constraints.plan.
+    detect_plan`): slot-indexed atom closures, compile-time redundancy
+    pruning (recorded in ``SolverStats.evals_pruned``) and
+    partial-prefix trie replay.  ``constraint_evals`` counts only the
+    evaluations actually performed.
 
     ``cache`` defaults to ``ctx.solver_cache`` — the per-context shared
     state (memoized proposals, solved base prefixes).  Pass a fresh
-    :class:`SharedSolverCache` for fully per-call state (the PR-1
-    engine; used by differential tests and the pipeline benchmark).
+    :class:`SharedSolverCache` for fully per-call state.
     """
-    if engine is None:
-        engine = "compiled" if incremental else "interpreted"
-    if engine == "compiled":
-        from .plan import detect_plan
+    from .plan import detect_plan
 
-        return detect_plan(ctx, spec, stats=stats, limit=limit, cache=cache)
-    if engine != "interpreted":
-        raise ValueError(
-            f"unknown solver engine {engine!r} "
-            "(expected 'compiled' or 'interpreted')"
-        )
+    return detect_plan(ctx, spec, stats=stats, limit=limit, cache=cache)
+
+
+def detect_interpreted(
+    ctx: SolverContext,
+    spec: IdiomSpec,
+    stats: SolverStats | None = None,
+    limit: int | None = None,
+    cache: SharedSolverCache | None = None,
+    incremental: bool = True,
+) -> list[dict[str, Value]]:
+    """The reference search: :func:`detect` over the constraint objects.
+
+    Accepts and rejects exactly the partial assignments :func:`detect`
+    does and returns the same solutions in the same order with the same
+    search counters, except that it evaluates every conjunct the plan
+    compiler prunes: its ``constraint_evals`` equals ``detect``'s
+    ``constraint_evals + evals_pruned``.  Tests and benchmarks call
+    it; detection never does.
+
+    ``incremental=False`` selects the naive full-tree walk (the
+    original Fig. 6 formulation) instead of the per-depth conjunct
+    index, and never replays a base prefix.
+    """
     compiled = compile_spec(spec)
     order = spec.label_order
     conjuncts = compiled.conjuncts
@@ -612,7 +614,7 @@ def _base_prefix_solutions(
 
     The base's solution list is computed at most once per cache (the
     first extending spec pays; later specs replay for free) by a nested
-    :func:`detect` whose search effort is charged to the caller's
+    :func:`detect_interpreted` whose search effort is charged to the caller's
     ``stats``.  A ``limit``-bounded search never *computes* the base
     (full base enumeration could dwarf the bounded search it serves) —
     it only replays a list some unbounded search already paid for.
@@ -625,12 +627,10 @@ def _base_prefix_solutions(
         if limit is not None:
             return None
         base_stats = SolverStats()
-        # Stay on the interpreted engine: a caller that chose it (the
-        # differential oracle) must not have its base search silently
-        # routed through the compiled plan.
-        solutions = detect(
-            ctx, base, stats=base_stats, cache=cache, engine="interpreted"
-        )
+        # Stay on the reference walk: its base search must not be
+        # silently routed through the compiled plan.
+        solutions = detect_interpreted(ctx, base, stats=base_stats,
+                                       cache=cache)
         cache.store_solutions(base, solutions)
         # Charge the base search's effort — but not its solution count
         # (or prefix-reuse tally) — to the caller: the prefix work

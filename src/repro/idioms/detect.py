@@ -18,7 +18,6 @@ import time
 from ..constraints import (
     FlowChecker,
     FlowPolicy,
-    SharedSolverCache,
     SolverContext,
     SolverStats,
     detect,
@@ -46,20 +45,13 @@ def find_reductions_in_function(
     function: Function,
     module: Module | None = None,
     registry: IdiomRegistry | None = None,
-    shared_cache: bool = True,
-    engine: str | None = None,
 ) -> FunctionReductions:
     """Detect and post-process all reductions of one function.
 
-    ``shared_cache=True`` (the default) runs every spec against the
-    context's :class:`~repro.constraints.SharedSolverCache`, so the
-    scalar and histogram searches reuse one solved for-loop prefix and
-    each other's memoized proposals.  ``shared_cache=False`` gives each
-    ``detect`` call private state — the PR-1 engine, kept as the
-    differential/benchmark baseline.  ``engine`` selects the solver
-    execution engine per :func:`~repro.constraints.detect`
-    (``"compiled"``/``"interpreted"``/None for the default);
-    detections are engine-independent.
+    Every spec runs against the context's
+    :class:`~repro.constraints.SharedSolverCache`, so the scalar and
+    histogram searches reuse one solved for-loop prefix and each
+    other's memoized proposals.
     """
     registry = registry if registry is not None else default_registry()
     scalar_spec = registry.spec("scalar-reduction")
@@ -69,14 +61,12 @@ def find_reductions_in_function(
     result = FunctionReductions(function, solver_context=ctx, stats=stats)
 
     def run(spec):
-        cache = ctx.solver_cache if shared_cache else SharedSolverCache()
         # Each spec records into its own stats object — the feedback
         # store's per-spec signal — then merges into the function-wide
         # aggregate, so the total effort is exactly what a single
         # shared counter would have seen.
         spec_stat = SolverStats()
-        solutions = detect(ctx, spec, stats=spec_stat, cache=cache,
-                           engine=engine)
+        solutions = detect(ctx, spec, stats=spec_stat)
         result.spec_stats.setdefault(
             spec.name, SolverStats()
         ).merge(spec_stat)
@@ -99,17 +89,15 @@ def find_reductions_in_function(
         if base is None or ctx.solver_cache.solutions_for(base) is not None:
             return
         base_stat = SolverStats()
-        solutions = detect(ctx, base, stats=base_stat,
-                           cache=ctx.solver_cache, engine=engine)
+        solutions = detect(ctx, base, stats=base_stat)
         ctx.solver_cache.store_solutions(base, solutions)
         result.spec_stats.setdefault(
             base.name, SolverStats()
         ).merge(base_stat)
         stats.merge(base_stat)
 
-    if shared_cache:
-        presolve_base(scalar_spec)
-        presolve_base(histogram_spec)
+    presolve_base(scalar_spec)
+    presolve_base(histogram_spec)
 
     seen_scalars: set[tuple[int, int]] = set()
     for assignment in run(scalar_spec):
@@ -137,18 +125,13 @@ def find_reductions_in_function(
 def find_reductions(
     module: Module,
     registry: IdiomRegistry | None = None,
-    shared_cache: bool = True,
-    engine: str | None = None,
 ) -> DetectionReport:
     """Detect reductions in every defined function of ``module``."""
     report = DetectionReport(module.name)
     started = time.perf_counter()
     for function in module.defined_functions():
         report.functions.append(
-            find_reductions_in_function(
-                function, module, registry=registry,
-                shared_cache=shared_cache, engine=engine,
-            )
+            find_reductions_in_function(function, module, registry=registry)
         )
     report.solve_seconds = time.perf_counter() - started
     return report

@@ -20,7 +20,7 @@ DSL, run by the unmodified solver:
 Like the core idioms, the extensions ship as ``.icsl`` files
 (``specs/{dot_product,argminmax,nested_reduction}.icsl``) resolved
 through the :class:`~repro.idioms.registry.IdiomRegistry`; the
-``*_spec()`` functions below are the native fallbacks, built from the
+``*_spec()`` functions below build the same specs in Python from the
 same named predicate atoms (:mod:`repro.constraints.predicates`) and
 ``flow(...)`` policies so the two paths cannot drift — the differential
 tests compare them solution-for-solution.
@@ -291,9 +291,7 @@ def find_extended_in_function(
     registry=None,
     ctx: SolverContext | None = None,
     stats: SolverStats | None = None,
-    shared_cache: bool = True,
     spec_stats: dict[str, SolverStats] | None = None,
-    engine: str | None = None,
 ) -> FunctionExtensions:
     """Run the three extension idioms on one function.
 
@@ -301,14 +299,10 @@ def find_extended_in_function(
     default).  Passing the ``ctx`` the base detection already built
     shares every cached analysis *and* the solved for-loop prefix with
     the scalar/histogram searches — the pipeline's cache-sharing path.
-    ``shared_cache=False`` gives every spec private solver state (the
-    PR-1 baseline).  ``spec_stats`` collects each extension spec's
-    search effort under its own name (the solver feedback store's
-    per-spec signal) in addition to the ``stats`` aggregate.  ``engine``
-    selects the solver execution engine per
-    :func:`~repro.constraints.detect`.
+    ``spec_stats`` collects each extension spec's search effort under
+    its own name (the solver feedback store's per-spec signal) in
+    addition to the ``stats`` aggregate.
     """
-    from ..constraints import SharedSolverCache
     from .registry import default_registry
 
     registry = registry if registry is not None else default_registry()
@@ -317,10 +311,8 @@ def find_extended_in_function(
     seen: set[tuple] = set()
 
     def run(spec):
-        cache = ctx.solver_cache if shared_cache else SharedSolverCache()
         local = SolverStats()
-        solutions = detect(ctx, spec, stats=local, cache=cache,
-                           engine=engine)
+        solutions = detect(ctx, spec, stats=local)
         if spec_stats is not None:
             spec_stats.setdefault(spec.name, SolverStats()).merge(local)
         if stats is not None:

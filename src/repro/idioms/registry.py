@@ -4,9 +4,9 @@
 runtime "avoiding the need for recompilation to experiment with
 analysis passes".  :class:`IdiomRegistry` makes that the default: the
 shipped ``specs/*.icsl`` files — the three Fig. 5/§3.1 core idioms
-*and* the three §8 extension idioms — are loaded at startup (falling
-back to the native Python specs only if the package data is missing or
-unparsable), user spec files can be added with :meth:`load_file`, and
+*and* the three §8 extension idioms — are loaded at startup (a missing
+or unparsable packaged spec is an error), user spec files can be added
+with :meth:`load_file`, and
 both :func:`~repro.idioms.detect.find_reductions` and
 :func:`~repro.idioms.extensions.find_extended_reductions` resolve
 every spec they run through the registry — so new reduction scenarios
@@ -68,36 +68,7 @@ class RegisteredIdiom:
     name: str
     spec: IdiomSpec
     kind: str  # a built-in idiom's own name, or "custom"
-    source: str  # spec file path, or "native" for the Python fallback
-
-
-def _native_spec(name: str) -> IdiomSpec:
-    """The native Python spec for a built-in idiom (fallback path)."""
-    if name == "for-loop":
-        from .forloop import for_loop_spec
-
-        return for_loop_spec()
-    if name == "scalar-reduction":
-        from .scalar_reduction import scalar_reduction_spec
-
-        return scalar_reduction_spec()
-    if name == "histogram":
-        from .histogram import histogram_spec
-
-        return histogram_spec()
-    if name == "dot-product":
-        from .extensions import dot_product_spec
-
-        return dot_product_spec()
-    if name == "argminmax":
-        from .extensions import argminmax_spec
-
-        return argminmax_spec()
-    if name == "nested-array-reduction":
-        from .extensions import nested_array_reduction_spec
-
-        return nested_array_reduction_spec()
-    raise KeyError(f"no native spec for idiom {name!r}")
+    source: str  # spec file path, or "api"
 
 
 class IdiomRegistry:
@@ -121,13 +92,19 @@ class IdiomRegistry:
         for name in BUILTIN_IDIOMS:
             path = builtin_spec_path(name)
             try:
-                spec = load_spec_file(path, known=dict(known))[name]
-                source = path
-            except (OSError, KeyError, SpecFileError):
-                spec = _native_spec(name)
-                source = "native"
+                spec = load_spec_file(path, known=dict(known)).get(name)
+            except (OSError, SpecFileError) as exc:
+                raise SpecFileError(
+                    f"built-in idiom {name!r}: cannot load {path}: {exc}",
+                    path=path,
+                ) from exc
+            if spec is None:
+                raise SpecFileError(
+                    f"built-in idiom {name!r}: {path} does not define it",
+                    path=path,
+                )
             known[name] = spec
-            self.register(spec, source=source)
+            self.register(spec, source=path)
 
     def register(self, spec: IdiomSpec, source: str = "api") -> RegisteredIdiom:
         """Register (or replace) an idiom spec under its own name.
@@ -288,7 +265,7 @@ class IdiomRegistry:
             compiled = compile_spec(entry.spec)
             plan = compile_plan(entry.spec)
             source = entry.source
-            if source not in ("native", "api"):
+            if source != "api":
                 source = os.path.basename(source)
             origin = "custom" if entry.kind == "custom" else "builtin"
             lines.append(

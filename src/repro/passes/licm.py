@@ -25,14 +25,20 @@ def hoist_invariant_loads(function: Function) -> int:
     while changed:
         changed = False
         loop_info = LoopInfo(function)
-        for loop in loop_info.loops:
+        # LoopInfo keeps loops and their blocks in set (address) order;
+        # visit both in function block order so the hoisted loads land
+        # in the same preheader order on every compile.
+        position = {block: i for i, block in enumerate(function.blocks)}
+        loops = sorted(loop_info.loops,
+                       key=lambda loop: position[loop.header])
+        for loop in loops:
             preheader = _unique_preheader(loop)
             if preheader is None:
                 continue
             stored_globals, has_impure_call = _loop_memory_summary(loop)
             if has_impure_call:
                 continue
-            for block in list(loop.blocks):
+            for block in sorted(loop.blocks, key=position.__getitem__):
                 for instruction in list(block.instructions):
                     if not isinstance(instruction, LoadInst):
                         continue

@@ -320,9 +320,8 @@ class CorpusReport:
         """The comparison-relevant content as nested plain tuples.
 
         ``effort=False`` drops the search-effort counters, leaving only
-        the detections — the form in which a shared-cache run and the
-        per-call PR-1 engine must agree (they do the same detections
-        with different amounts of work).
+        the detections — the form in which runs that search differently
+        (another label order, a per-call solver cache) must agree.
         """
         return tuple(
             (

@@ -235,8 +235,6 @@ def detect_corpus(
     baselines: bool = False,
     suites: Sequence[str] | None = None,
     spec_files: Sequence[str] = (),
-    shared_cache: bool = True,
-    engine: str | None = None,
     start_method: str | None = None,
     keys: Sequence[Key] | None = None,
     granularity: str = "program",
@@ -272,8 +270,6 @@ def detect_corpus(
         baselines=baselines,
         suites=tuple(suites) if suites is not None else None,
         spec_files=tuple(spec_files),
-        shared_cache=shared_cache,
-        engine=engine,
         start_method=start_method,
         granularity=granularity,
         split_threshold=split_threshold,

@@ -27,16 +27,6 @@ class PipelineOptions:
     suites: tuple[str, ...] | None = None
     #: Extra ``.icsl`` files loaded into every worker's registry.
     spec_files: tuple[str, ...] = ()
-    #: Share solver caches across the specs run on one function
-    #: (False restores the per-``detect``-call PR-1 engine — the
-    #: benchmark baseline).
-    shared_cache: bool = True
-    #: Solver execution engine: ``"compiled"`` (flat evaluation plans),
-    #: ``"interpreted"`` (the naive tree-walking oracle), or None for
-    #: the :func:`~repro.constraints.detect` default.  Detections,
-    #: digests and fingerprints are engine-independent; only wall-clock
-    #: and the pruning counters move.
-    engine: str | None = None
     #: multiprocessing start method (None = fork when available).
     start_method: str | None = None
     #: Work-unit granularity: ``"program"`` ships whole programs,
@@ -168,11 +158,6 @@ class PipelineOptions:
         if not 0.0 <= self.explore <= 1.0:
             raise ValueError(
                 f"explore must be within [0, 1], got {self.explore}"
-            )
-        if self.engine not in (None, "compiled", "interpreted"):
-            raise ValueError(
-                f"engine must be 'compiled', 'interpreted' or None, "
-                f"got {self.engine!r}"
             )
         # Normalize list arguments so options compare/pickle cleanly.
         object.__setattr__(self, "spec_files", tuple(self.spec_files))

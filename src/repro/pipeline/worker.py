@@ -272,11 +272,8 @@ def detect_unit(
     detect_seconds = extend_seconds = explore_seconds = 0.0
     for function in targets:
         started = time.perf_counter()
-        fr = find_reductions_in_function(
-            function, module, registry=registry,
-            shared_cache=options.shared_cache,
-            engine=options.engine,
-        )
+        fr = find_reductions_in_function(function, module,
+                                         registry=registry)
         detect_seconds += time.perf_counter() - started
         if options.extended:
             from ..idioms.extensions import find_extended_in_function
@@ -287,11 +284,9 @@ def detect_unit(
             started = time.perf_counter()
             matches = find_extended_in_function(
                 fr.function, module, registry=registry,
-                ctx=fr.solver_context if options.shared_cache else None,
+                ctx=fr.solver_context,
                 stats=fr.stats,
-                shared_cache=options.shared_cache,
                 spec_stats=fr.spec_stats,
-                engine=options.engine,
             )
             extended = extended + digest_extensions(matches)
             extend_seconds += time.perf_counter() - started
@@ -322,20 +317,14 @@ def detect_unit(
             if perturbed is not None:
                 run_registry = _perturbed_registry(options, perturbed)
                 started = time.perf_counter()
-                cr = find_reductions_in_function(
-                    function, module, registry=run_registry,
-                    shared_cache=options.shared_cache,
-                    engine=options.engine,
-                )
+                cr = find_reductions_in_function(function, module,
+                                                 registry=run_registry)
                 if options.extended:
                     find_extended_in_function(
                         cr.function, module, registry=run_registry,
-                        ctx=(cr.solver_context
-                             if options.shared_cache else None),
+                        ctx=cr.solver_context,
                         stats=cr.stats,
-                        shared_cache=options.shared_cache,
                         spec_stats=cr.spec_stats,
-                        engine=options.engine,
                     )
                 explore_seconds += time.perf_counter() - started
                 for name, stats in cr.spec_stats.items():

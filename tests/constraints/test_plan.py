@@ -1,22 +1,25 @@
 """Differential suite for the compiled plan engine.
 
-The interpreted solver (:mod:`repro.constraints.solver`) is the
-oracle; :func:`repro.constraints.plan.detect_plan` must match it
+The interpreted reference (:func:`repro.constraints.solver.
+detect_interpreted`) is the oracle; :func:`repro.constraints.detect`
+(the plan engine) must match it
 
 * in **solutions** — the identical list, order included;
 * in **statistics** — every :class:`SolverStats` counter equal, except
   the eval reconciliation invariant ``interpreted.constraint_evals ==
   compiled.constraint_evals + compiled.evals_pruned`` (the compiled
   engine performs fewer evaluations but accounts for every skipped one
-  position-exactly);
-* in **fingerprints** — corpus reports are engine-independent.
+  position-exactly).
 
 The matrix runs every shipped ``.icsl`` spec over the differential C
 corpus, then hypothesis-randomized label/conjunct orders over the
 mini-specs, plus targeted coverage of the plan-only machinery: the
-partial-prefix replay trie (hit, miss and limit-bounded paths), the
-numpy batch filter and its fallback leg, and the plan/codegen cache.
+partial-prefix replay trie (hit, miss and limit-bounded paths) and the
+plan/codegen cache.
 """
+
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,13 +28,12 @@ from hypothesis import strategies as st
 from repro.constraints import (
     ConstraintAnd,
     IdiomSpec,
-    Opcode,
     SharedSolverCache,
     SolverStats,
     detect,
 )
-from repro.constraints import plan as plan_module
-from repro.constraints.plan import _BATCH_MIN, _UNBOUND, compile_plan, detect_plan
+from repro.constraints.plan import _UNBOUND, compile_plan, detect_plan
+from repro.constraints.solver import detect_interpreted
 from repro.idioms import BUILTIN_IDIOMS, IdiomRegistry
 from test_differential import CORPUS, MINI_SPECS, contexts_for, solution_set
 
@@ -58,10 +60,9 @@ def assert_stats_reconcile(interpreted: SolverStats, compiled: SolverStats):
 def assert_engines_agree(ctx, spec):
     """Run both engines on fresh caches; returns the compiled stats."""
     interp_stats, comp_stats = SolverStats(), SolverStats()
-    interpreted = detect(ctx, spec, stats=interp_stats,
-                         cache=SharedSolverCache(), engine="interpreted")
-    compiled = detect(ctx, spec, stats=comp_stats,
-                      cache=SharedSolverCache(), engine="compiled")
+    interpreted = detect_interpreted(ctx, spec, stats=interp_stats,
+                                     cache=SharedSolverCache())
+    compiled = detect(ctx, spec, stats=comp_stats, cache=SharedSolverCache())
     assert compiled == interpreted  # the list: solutions AND their order
     assert_stats_reconcile(interp_stats, comp_stats)
     return comp_stats
@@ -92,18 +93,18 @@ def test_compiled_matches_interpreted_shared_cache(program):
         interp_cache, comp_cache = SharedSolverCache(), SharedSolverCache()
         for name in sorted(BUILTIN_IDIOMS):
             spec = REGISTRY.spec(name)
-            interpreted = detect(ctx, spec, stats=interp_stats,
-                                 cache=interp_cache, engine="interpreted")
-            compiled = detect(ctx, spec, stats=comp_stats,
-                              cache=comp_cache, engine="compiled")
+            interpreted = detect_interpreted(ctx, spec, stats=interp_stats,
+                                             cache=interp_cache)
+            compiled = detect(ctx, spec, stats=comp_stats, cache=comp_cache)
             assert compiled == interpreted, name
         assert interp_stats.prefix_reuses > 0  # replay actually engaged
         assert_stats_reconcile(interp_stats, comp_stats)
 
 
 def test_detect_routes_engines():
-    """``engine=`` selects the implementation; the default is the
-    compiled engine (observable through its pruning counters)."""
+    """``detect`` runs the plan engine (observable through its pruning
+    counters); the interpreted reference prunes nothing, and its naive
+    full-tree walk finds the same solutions."""
     spec = REGISTRY.spec("scalar-reduction")
     ctx = contexts_for(CORPUS["scalar-sum"])[0]
     default_stats = SolverStats()
@@ -111,19 +112,16 @@ def test_detect_routes_engines():
                      cache=SharedSolverCache())
     assert default_stats.evals_pruned > 0
     interp_stats = SolverStats()
-    interpreted = detect(ctx, spec, stats=interp_stats,
-                         cache=SharedSolverCache(), engine="interpreted")
+    interpreted = detect_interpreted(ctx, spec, stats=interp_stats,
+                                     cache=SharedSolverCache())
     assert interp_stats.evals_pruned == 0
     assert interp_stats.conjuncts_pruned == 0
     assert default == interpreted
-    # The naive full-tree walk stays reachable, and stays interpreted.
     naive_stats = SolverStats()
-    naive = detect(ctx, spec, stats=naive_stats,
-                   cache=SharedSolverCache(), incremental=False)
+    naive = detect_interpreted(ctx, spec, stats=naive_stats,
+                               cache=SharedSolverCache(), incremental=False)
     assert naive == interpreted
     assert naive_stats.evals_pruned == 0
-    with pytest.raises(ValueError, match="unknown solver engine"):
-        detect(ctx, spec, engine="jit")
 
 
 # -- hypothesis: random label and conjunct orders -----------------------------
@@ -190,8 +188,8 @@ def test_partial_prefix_trie_replay_matches_interpreted():
     assert plan.partial_len == 8
     for program in ("scalar-sum", "nested-sum", "iterator-carried"):
         for ctx in contexts_for(CORPUS[program]):
-            interpreted = detect(ctx, spec, cache=SharedSolverCache(),
-                                 engine="interpreted")
+            interpreted = detect_interpreted(ctx, spec,
+                                             cache=SharedSolverCache())
             stats = SolverStats()
             compiled = detect_plan(ctx, spec, stats=stats,
                                    cache=SharedSolverCache())
@@ -239,60 +237,6 @@ def test_partial_prefix_trie_hit_and_miss_paths():
         assert bounded_warm.trie_reuses == 1
 
 
-# -- numpy batch filter and its fallback leg ----------------------------------
-
-
-class _NoProposeOpcode(Opcode):
-    """An opcode atom stripped of its proposer: every search for its
-    label falls back to the whole value universe, which is exactly the
-    situation the vectorized batch filter exists for."""
-
-    def propose(self, ctx, assignment, label):
-        return None
-
-    def propose_implies_partial(self, bound, label):
-        return False
-
-
-def _universe_fallback_spec() -> IdiomSpec:
-    return IdiomSpec(
-        "batch-probe",
-        ("update", "lhs"),
-        ConstraintAnd(
-            _NoProposeOpcode("update", "fadd", (None, None),
-                             commutative=True),
-            _NoProposeOpcode("lhs", "phi", ()),
-        ),
-    )
-
-
-@pytest.mark.parametrize("program", ("nested-sum", "nested-rms"))
-def test_batch_filter_matches_interpreted(program, monkeypatch):
-    """Universe-fallback searches over batches past ``_BATCH_MIN`` —
-    the numpy mask path — must agree with the interpreter candidate for
-    candidate, and with the compiled engine's own pure-Python leg when
-    numpy is taken away (the generated code reads ``plan._np`` live)."""
-    spec = _universe_fallback_spec()
-    exercised = False
-    for ctx in contexts_for(CORPUS[program]):
-        if len(ctx.universe) >= _BATCH_MIN:
-            exercised = True
-        with_numpy = SolverStats()
-        vectorized = detect(ctx, spec, stats=with_numpy,
-                            cache=SharedSolverCache(), engine="compiled")
-        assert with_numpy.fallbacks_to_universe > 0
-        stats = assert_engines_agree(ctx, spec)
-        monkeypatch.setattr(plan_module, "_np", None)
-        without_numpy = SolverStats()
-        scalar = detect(ctx, spec, stats=without_numpy,
-                        cache=SharedSolverCache(), engine="compiled")
-        monkeypatch.undo()
-        assert scalar == vectorized
-        assert without_numpy.canonical() == with_numpy.canonical()
-        assert stats.fallbacks_to_universe == with_numpy.fallbacks_to_universe
-    assert exercised  # at least one function crossed the batch cutoff
-
-
 # -- plan construction and codegen invariants ---------------------------------
 
 
@@ -308,6 +252,15 @@ def test_plan_is_cached_per_spec_and_slots_are_restored():
     # per-plan slot buffer — a stale binding would leak one search's
     # values into the next.
     assert all(slot is _UNBOUND for slot in plan._slots)
+
+
+def test_import_repro_loads_no_numpy():
+    """The solver has no array fast path: importing the package must
+    not pull numpy in (it used to cost a third of ``import repro``)."""
+    probe = "import repro, sys; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_reordered_spec_compiles_its_own_plan():

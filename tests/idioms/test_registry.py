@@ -171,18 +171,26 @@ def test_unknown_idiom_lookup_names_known_ones():
         IdiomRegistry().spec("no-such-idiom")
 
 
-def test_native_fallback_when_spec_files_missing(monkeypatch):
+def test_missing_builtin_spec_file_is_an_error(monkeypatch):
+    """A missing packaged spec fails loudly, naming the path — no
+    silent switch to another spec source."""
     monkeypatch.setattr(
         registry_module, "builtin_spec_path",
         lambda name: "/nonexistent/" + name,
     )
-    registry = IdiomRegistry()
-    assert set(registry.names()) == set(BUILTIN_IDIOMS)
-    for name in BUILTIN_IDIOMS:
-        assert registry.entry(name).source == "native"
-    module = compile_source(SOURCE)
-    report = find_reductions(module, registry=registry)
-    assert report.counts() == (1, 1)
+    with pytest.raises(SpecFileError, match="/nonexistent/for-loop"):
+        IdiomRegistry()
+
+
+def test_broken_builtin_spec_file_is_an_error(monkeypatch, tmp_path):
+    broken = tmp_path / "forloop.icsl"
+    broken.write_text("idiom for-loop {\n  order: header\n  nosuchatom(header)\n}\n")
+    monkeypatch.setattr(
+        registry_module, "builtin_spec_path", lambda name: str(broken),
+    )
+    with pytest.raises(SpecFileError) as info:
+        IdiomRegistry()
+    assert str(broken) in str(info.value)
 
 
 def test_default_registry_is_cached_and_resettable():

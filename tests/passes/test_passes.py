@@ -1,5 +1,7 @@
 """Tests for mem2reg, DCE, CSE, LICM and CFG simplification."""
 
+import pytest
+
 from repro.frontend import compile_source, lower_source
 from repro.ir import (
     AllocaInst,
@@ -18,7 +20,9 @@ from repro.passes.simplify import (
     remove_trivial_phis,
     remove_unreachable_blocks,
 )
+from repro.ir import print_module
 from repro.runtime import Interpreter, Memory
+from repro.workloads import program
 
 
 SOURCE = """
@@ -181,6 +185,19 @@ def test_licm_does_not_hoist_stored_global():
         if isinstance(i, LoadInst)
     ]
     assert loads_in_loop  # still re-loaded every iteration
+
+
+@pytest.mark.parametrize("key", [
+    ("IS", "NAS"), ("MG", "NAS"), ("histo", "Parboil"), ("sad", "Parboil"),
+    ("tpacf", "Parboil"), ("b+tree", "Rodinia"), ("kmeans", "Rodinia"),
+])
+def test_licm_hoists_in_block_order(key):
+    """Repeated compiles print one IR text: LICM must not visit loops
+    or blocks in set (address) order, which reordered the hoisted
+    loads of these programs' preheaders from one compile to the next."""
+    bench = program(*key)
+    texts = {print_module(bench.fresh_module()) for _ in range(6)}
+    assert len(texts) == 1
 
 
 def test_unreachable_block_removal():

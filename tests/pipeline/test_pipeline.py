@@ -380,20 +380,6 @@ def test_any_shard_count_and_subset_is_deterministic(data):
     assert serial.fingerprint() == parallel.fingerprint()
 
 
-# -- shared-cache engine ≡ per-call engine ------------------------------------
-
-
-def test_shared_cache_engine_matches_per_call_detections():
-    """Same detections as PR-1's per-call-cache engine, with strictly
-    fewer constraint evaluations (the shared for-loop prefix)."""
-    shared = detect_corpus(jobs=1, extended=True)
-    per_call = detect_corpus(jobs=1, extended=True, shared_cache=False)
-    assert shared.fingerprint(effort=False) == per_call.fingerprint(
-        effort=False
-    )
-    assert shared.total_constraint_evals < per_call.total_constraint_evals
-
-
 # -- digests match the in-process drivers -------------------------------------
 
 
