@@ -112,11 +112,8 @@ class EndsInUncondBranch(Constraint):
             return [] if target is None else [target]
         if label == block_label:
             if target_label in assignment:
-                wanted = assignment[target_label]
-                return [
-                    b for b in ctx.blocks() if self._target_of(b) is wanted
-                ]
-            return [b for b in ctx.blocks() if self._target_of(b) is not None]
+                return list(ctx.uncond_branch_blocks(assignment[target_label]))
+            return list(ctx.uncond_branch_blocks())
         return None
 
     def propose_implies_partial(self, bound, label):
@@ -866,11 +863,7 @@ class IsConstantLike(Constraint):
 
     def propose(self, ctx, assignment, label):
         if label == self.labels[0]:
-            return [
-                v
-                for v in ctx.universe
-                if isinstance(v, (Constant, Argument, GlobalVariable))
-            ]
+            return list(ctx.constant_like())
         return None
 
     def propose_implies_partial(self, bound, label):

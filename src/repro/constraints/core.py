@@ -33,9 +33,9 @@ from ..analysis.purity import PurityAnalysis
 from ..analysis.scev import ScalarEvolution
 from ..ir.block import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Instruction
+from ..ir.instructions import BranchInst, Instruction
 from ..ir.module import Module
-from ..ir.values import Value
+from ..ir.values import Argument, Constant, GlobalVariable, Value
 
 #: A (partial) assignment of labels to IR values.
 Assignment = Mapping[str, Value]
@@ -116,6 +116,9 @@ class SolverContext:
             self._by_opcode.setdefault(instruction.opcode, []).append(
                 instruction
             )
+        self._uncond_sources: dict[Value, list[BasicBlock]] | None = None
+        self._uncond_blocks: list[BasicBlock] | None = None
+        self._constant_like: list[Value] | None = None
         self._solver_cache = None
         #: Memoized flow-slice verdicts, keyed by the checking
         #: constraint and the identities of its bound label values —
@@ -187,6 +190,38 @@ class SolverContext:
     def blocks(self) -> list[BasicBlock]:
         """All basic blocks of the function."""
         return self.function.blocks
+
+    def uncond_branch_blocks(self, target: Value | None = None) -> list[BasicBlock]:
+        """Blocks ending in an unconditional branch, in block order.
+
+        With ``target``, only the blocks branching to it.  Indexed on
+        first use; callers must not mutate the returned list.
+        """
+        if self._uncond_blocks is None:
+            self._uncond_blocks = []
+            self._uncond_sources = {}
+            for block in self.function.blocks:
+                terminator = block.terminator
+                if isinstance(terminator, BranchInst) and not terminator.is_conditional:
+                    self._uncond_blocks.append(block)
+                    self._uncond_sources.setdefault(
+                        terminator.targets()[0], []
+                    ).append(block)
+        if target is None:
+            return self._uncond_blocks
+        return self._uncond_sources.get(target, [])
+
+    def constant_like(self) -> list[Value]:
+        """The constants, arguments and globals of :attr:`universe`, in
+        universe order.  Indexed on first use; callers must not mutate
+        the returned list."""
+        if self._constant_like is None:
+            self._constant_like = [
+                v
+                for v in self.universe
+                if isinstance(v, (Constant, Argument, GlobalVariable))
+            ]
+        return self._constant_like
 
     def is_pure_call_target(self, function: Function) -> bool:
         """Purity of a callee (module-wide analysis when available)."""

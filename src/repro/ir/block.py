@@ -83,13 +83,30 @@ class BasicBlock(Value):
         return []
 
     def predecessors(self) -> list["BasicBlock"]:
-        """Predecessor blocks, in deterministic function order."""
-        if self.parent is None:
+        """Predecessor blocks, each once, in deterministic function order.
+
+        Read off this block's use-list: a predecessor is a block of the
+        same function whose terminating branch names this block.  Phi
+        incoming-block operands and branches not (or no longer) ending a
+        block of this function are not edges.
+        """
+        function = self.parent
+        if function is None:
             return []
         preds = []
-        for block in self.parent.blocks:
-            if self in block.successors():
+        for use in self.uses:
+            branch = use.user
+            block = branch.parent
+            if (
+                isinstance(branch, BranchInst)
+                and block is not None
+                and block.parent is function
+                and block.instructions[-1] is branch
+                and block not in preds
+            ):
                 preds.append(block)
+        if len(preds) > 1:
+            preds.sort(key=function.blocks.index)
         return preds
 
     def short_name(self) -> str:

@@ -20,25 +20,30 @@ def hoist_invariant_loads(function: Function) -> int:
     """Hoist loop-invariant scalar-global loads; returns hoist count."""
     if function.is_declaration:
         return 0
+    # Hoisting moves loads only: no edge, loop, preheader, store or call
+    # changes, so the loop structure and each loop's memory summary are
+    # computed once for the whole fixpoint.  LoopInfo keeps loops and
+    # their blocks in set (address) order; visit both in function block
+    # order so the hoisted loads land in the same preheader order on
+    # every compile.
+    loop_info = LoopInfo(function)
+    position = {block: i for i, block in enumerate(function.blocks)}
+    candidates = []
+    for loop in sorted(loop_info.loops, key=lambda loop: position[loop.header]):
+        preheader = _unique_preheader(loop)
+        if preheader is None:
+            continue
+        stored_globals, has_impure_call = _loop_memory_summary(loop)
+        if has_impure_call:
+            continue
+        blocks = sorted(loop.blocks, key=position.__getitem__)
+        candidates.append((blocks, preheader, stored_globals))
     hoisted = 0
     changed = True
     while changed:
         changed = False
-        loop_info = LoopInfo(function)
-        # LoopInfo keeps loops and their blocks in set (address) order;
-        # visit both in function block order so the hoisted loads land
-        # in the same preheader order on every compile.
-        position = {block: i for i, block in enumerate(function.blocks)}
-        loops = sorted(loop_info.loops,
-                       key=lambda loop: position[loop.header])
-        for loop in loops:
-            preheader = _unique_preheader(loop)
-            if preheader is None:
-                continue
-            stored_globals, has_impure_call = _loop_memory_summary(loop)
-            if has_impure_call:
-                continue
-            for block in sorted(loop.blocks, key=position.__getitem__):
+        for blocks, preheader, stored_globals in candidates:
+            for block in blocks:
                 for instruction in list(block.instructions):
                     if not isinstance(instruction, LoadInst):
                         continue
@@ -53,7 +58,7 @@ def hoist_invariant_loads(function: Function) -> int:
                     hoisted += 1
                     changed = True
             if changed:
-                break  # loop structures changed; recompute
+                break  # restart in header order: outer loops go first
     return hoisted
 
 

@@ -30,38 +30,42 @@ def merge_straightline_blocks(function: Function) -> int:
     Keeps the canonical loop shape intact (headers and latches always
     have other predecessors) while removing lowering scaffolding such
     as the dedicated alloca entry block.
+
+    One forward sweep: each surviving block absorbs its whole
+    straight-line chain.  Chain merging is confluent, so the result is
+    the same as merging one pair at a time to a fixpoint.
     """
     merged = 0
-    changed = True
-    while changed:
-        changed = False
-        for block in list(function.blocks):
+    for block in list(function.blocks):
+        if block.parent is not function:
+            continue  # already absorbed into an earlier chain head
+        while True:
             terminator = block.terminator
             if not isinstance(terminator, BranchInst) or terminator.is_conditional:
-                continue
+                break
             successor = terminator.targets()[0]
             if successor is block:
-                continue
+                break
             preds = successor.predecessors()
             if len(preds) != 1 or preds[0] is not block:
-                continue
+                break
             # Single predecessor: any phi is trivially replaceable.
-            for phi in list(successor.phis()):
+            for phi in successor.phis():
                 value = phi.incoming_for_block(block)
                 phi.replace_all_uses_with(value)
                 phi.drop_all_references()
                 successor.remove(phi)
             block.remove(terminator)
             terminator.drop_all_references()
-            for instruction in list(successor.instructions):
-                successor.remove(instruction)
-                block.append(instruction)
+            moved = successor.instructions
+            successor.instructions = []
+            for instruction in moved:
+                instruction.parent = block
+            block.instructions.extend(moved)
             successor.replace_all_uses_with(block)
             function.blocks.remove(successor)
             successor.parent = None
             merged += 1
-            changed = True
-            break
     return merged
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import frontend
+from repro.analysis.loops import LoopInfo
 from repro.frontend import compile_source, lower_source
 from repro.ir import (
     AllocaInst,
@@ -13,6 +15,7 @@ from repro.ir import (
 )
 from repro.passes import promote_allocas, promotable_allocas
 from repro.passes.cse import local_cse
+from repro.passes import licm
 from repro.passes.licm import hoist_invariant_loads
 from repro.passes.simplify import (
     dead_code_elimination,
@@ -191,13 +194,62 @@ def test_licm_does_not_hoist_stored_global():
     ("IS", "NAS"), ("MG", "NAS"), ("histo", "Parboil"), ("sad", "Parboil"),
     ("tpacf", "Parboil"), ("b+tree", "Rodinia"), ("kmeans", "Rodinia"),
 ])
-def test_licm_hoists_in_block_order(key):
+def test_licm_hoists_in_block_order(key, monkeypatch):
     """Repeated compiles print one IR text: LICM must not visit loops
     or blocks in set (address) order, which reordered the hoisted
-    loads of these programs' preheaders from one compile to the next."""
+    loads of these programs' preheaders from one compile to the next.
+    Hoisting never changes an edge, so each call builds one LoopInfo."""
+    builds = [0]
+    original_init = licm.LoopInfo.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds[0] += 1
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(licm.LoopInfo, "__init__", counting_init)
+    calls = [0]
+
+    def counted_hoist(function):
+        calls[0] += 1
+        before = builds[0]
+        hoisted = hoist_invariant_loads(function)
+        assert builds[0] - before == 1
+        return hoisted
+
+    monkeypatch.setattr(frontend, "hoist_invariant_loads", counted_hoist)
     bench = program(*key)
     texts = {print_module(bench.fresh_module()) for _ in range(6)}
     assert len(texts) == 1
+    assert calls[0] > 0
+
+
+def test_licm_hoists_doubly_nested_load_to_outer_preheader():
+    module = compile_source(
+        """
+        double a[64]; int n; int m;
+        double f(void) {
+            double s = 0.0;
+            for (int i = 0; i < n; i++)
+                for (int j = 0; j < n; j++)
+                    s = s + a[i * m + j];
+            return s;
+        }
+        """
+    )
+    fn = module.get_function("f")
+    loops = LoopInfo(fn).loops
+    inner = next(l for l in loops if l.parent is not None)
+    outer = inner.parent
+    preheader = next(
+        p for p in outer.header.predecessors() if p not in outer.blocks
+    )
+    global_loads = [
+        i for i in fn.instructions()
+        if isinstance(i, LoadInst) and i.pointer.name in ("n", "m")
+    ]
+    # n (both bounds) and m (inner subscript) climb past both loops.
+    assert sorted(i.pointer.name for i in global_loads) == ["m", "n"]
+    assert all(i.parent is preheader for i in global_loads)
 
 
 def test_unreachable_block_removal():
