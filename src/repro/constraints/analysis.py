@@ -367,8 +367,8 @@ def analyze_spec(spec: IdiomSpec, *, pruning: bool = True) -> list[Diagnostic]:
             f"{len(base.label_order)} labels as a prefix, so solved-prefix "
             "replay is disabled",
             hint="restate the base's label order as this order's prefix "
-                 "to re-enable full prefix replay (the engine falls back "
-                 "to the partial-prefix trie)",
+                 "to re-enable full prefix replay (until then the search "
+                 "starts from depth 0)",
             span=order_span,
         ))
 
@@ -402,10 +402,8 @@ def _pruning_diags(spec: IdiomSpec, spec_span) -> list[Diagnostic]:
         for d in decisions:
             if d.where == "depth":
                 spots.append(f"depth {d.depth} (binding {order[d.depth]!r})")
-            elif d.where == "replay":
-                spots.append("the full-prefix replay slice")
             else:
-                spots.append(f"the partial-prefix slice at depth {d.depth}")
+                spots.append("the full-prefix replay slice")
         return ", ".join(spots)
 
     diags: list[Diagnostic] = []

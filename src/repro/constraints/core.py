@@ -437,8 +437,8 @@ class IdiomSpec:
             self.lint_ignores = {code: None for code in lint_ignores}
         #: The spec named by ``extends`` in ICSL, regardless of whether
         #: the current enumeration order still permits prefix replay.
-        #: The plan engine consults this for *partial*-prefix reuse
-        #: when a reorder broke the full-prefix property.
+        #: The lint pass consults this to report (ICSL008) a reorder
+        #: that broke the full-prefix property.
         self.declared_base = base
         #: The spec this one extends (``extends`` in ICSL).  When the
         #: extension's label order starts with the base's and the base's
@@ -456,10 +456,11 @@ class IdiomSpec:
 
     def shared_prefix_len(self) -> int:
         """Length of the label-order prefix shared with the declared
-        base — the depth at which the plan engine's partial-prefix trie
-        can splice in the base's solved frontier.  Zero when there is
-        no declared base or the orders diverge immediately; equals the
-        base's full order length exactly when :attr:`base` is set."""
+        base (reported by lint's ICSL008).  Zero when there is no
+        declared base or the orders diverge immediately; equals the
+        base's full order length exactly when :attr:`base` is set —
+        any shorter shared prefix buys nothing, because the search
+        then starts from depth 0."""
         base = self.declared_base
         if base is None:
             return 0
@@ -474,9 +475,8 @@ class IdiomSpec:
         """The same spec with a different enumeration order (ablation).
 
         The declared base travels along: an order that restores (or
-        keeps) the base's prefix re-enables full replay, one that
-        merely shares a shorter prefix leaves the plan engine its
-        partial-prefix trie.
+        keeps) the base's prefix re-enables full replay; any other
+        order searches from depth 0.
         """
         return IdiomSpec(self.name, label_order, self.constraint,
                          base=self.declared_base, origin=self.origin,

@@ -27,19 +27,11 @@ depth-slice once, per spec, into a :class:`FlatPlan`:
   ``interpreted.constraint_evals == plan.constraint_evals +
   plan.evals_pruned`` holds per search — fingerprint accounting stays
   honest;
-* **partial-prefix replay tries** — full-prefix replay
-  (``base_solutions``) requires the extension's label order to start
-  with the base's *entire* order.  The plan engine extends
-  :class:`~repro.constraints.solver.SharedSolverCache` with
-  ``prefix_trie``: the depth-``d`` frontier of a base spec's search
-  (every partial assignment of its first ``d`` labels that survived
-  pruning), keyed ``(base, d)``.  An ``extends`` spec whose order
-  diverges from the base mid-way replays the shared frontier at the
-  divergence depth instead of re-enumerating it — sound because
-  partial rejections are monotone under binding growth (a conjunct
-  that rejected with fewer bindings still rejects with more), so the
-  replayed frontier, re-validated against the extension's own
-  conjuncts, reaches exactly the solutions the native search reaches.
+* **one search loop** — :func:`_search` runs every plan as data: an
+  iterative depth-first search in a single frame that reads
+  ``plan.steps`` (one candidate iterator per depth, counters in
+  locals) and replays a base spec's solved prefix when
+  :attr:`~repro.constraints.core.IdiomSpec.base` allows it.
 
 :func:`~repro.constraints.solver.detect_interpreted` keeps the
 constraint-object interpreter as the test reference; :func:`detect_plan`
@@ -126,58 +118,56 @@ class CheckChain:
     ``pruned_before`` is how many vacuous/redundant conjuncts the
     interpreted engine would have evaluated immediately before this
     closure.  Rather than charging counters check by check, the chain
-    precomputes what each outcome costs: a failure at closure index
-    ``i`` charges ``i + 1`` evaluations and ``fail_pruned[i]`` skipped
-    ones (the pruned entries the interpreter would have reached before
-    short-circuiting); a full pass charges ``pass_evals`` and
-    ``pass_pruned`` (which folds in ``tail_pruned``, the pruned entries
-    after the last kept check).
+    precomputes what each outcome costs: ``checks`` holds
+    ``(closure, fail_evals, fail_pruned)`` rows, where a failure at
+    index ``i`` charges ``fail_evals = i + 1`` evaluations and
+    ``fail_pruned`` skipped ones (the pruned entries the interpreter
+    would have reached before short-circuiting); a full pass charges
+    ``pass_evals`` and ``pass_pruned`` (which folds in ``tail_pruned``,
+    the pruned entries after the last kept check).
     """
 
-    __slots__ = ("fns", "fail_pruned", "pass_evals", "pass_pruned")
+    __slots__ = ("checks", "pass_evals", "pass_pruned")
 
     def __init__(self, checks, tail_pruned):
-        self.fns = tuple(fn for fn, _ in checks)
-        prefix = []
+        rows = []
         running = 0
-        for _, pruned_before in checks:
+        for i, (fn, pruned_before) in enumerate(checks):
             running += pruned_before
-            prefix.append(running)
-        self.fail_pruned = tuple(prefix)
-        self.pass_evals = len(checks)
+            rows.append((fn, i + 1, running))
+        self.checks = tuple(rows)
+        self.pass_evals = len(rows)
         self.pass_pruned = running + tail_pruned
 
 
 class PlanStep:
-    """One depth of a flat plan.
+    """One depth of a flat plan (depth ``k`` binds slot ``k``).
 
     ``chain`` is the depth's :class:`CheckChain` — the lowered conjunct
     slice with its precomputed eval/pruned accounting.
     """
 
-    __slots__ = ("label", "slot", "chain", "proposers", "dep_slots")
+    __slots__ = ("label", "chain", "proposers", "dep_slots", "prefix_key")
 
-    def __init__(self, label, slot, chain, proposers):
+    def __init__(self, label, chain, proposers, prefix_key):
         self.label = label
-        self.slot = slot
         self.chain = chain
-        #: ``(conjunct, key_pairs, const_key, single, double)`` rows;
-        #: ``key_pairs`` are
+        #: ``(conjunct, key_pairs, const_key)`` rows; ``key_pairs`` are
         #: the pre-sorted ``(label, slot)`` pairs of the conjunct's
         #: labels bound at this depth — the memo key builds from them
         #: without per-lookup sorting, and matches the interpreted
         #: engine's key byte for byte (the caches are
         #: engine-interoperable).  When no labels are bound the key is
-        #: a compile-time constant (``const_key``); the common one- and
-        #: two-bound-label cases skip tuple iteration (``single`` /
-        #: ``double``).
+        #: a compile-time constant (``const_key``).
         self.proposers = proposers
         #: Sorted union of the slots all proposer rows read — the
         #: value ids at these slots determine every row's proposal, so
         #: ``(step, ids)`` keys a whole-depth candidate memo.
-        deps = sorted({s for _, pairs, _, _, _ in proposers
-                       for _, s in pairs})
+        deps = sorted({s for _, pairs, _ in proposers for _, s in pairs})
         self.dep_slots = tuple(deps)
+        #: ``(label, bound-prefix set)`` — this depth's
+        #: ``SolverStats.candidates_per_prefix`` key.
+        self.prefix_key = prefix_key
 
 
 class PruneDecision:
@@ -201,9 +191,9 @@ class PruneDecision:
     * ``"implied-proposal"`` — the depth's candidates come from this
       conjunct's own proposals, which pre-satisfy its check.
 
-    ``where`` names the slice kind (``"depth"``, ``"replay"`` or
-    ``"partial"``), ``depth`` the bound-prefix length there, ``index``
-    the conjunct's position in ``CompiledSpec.conjuncts``.
+    ``where`` names the slice kind (``"depth"`` or ``"replay"``),
+    ``depth`` the bound-prefix length there, ``index`` the conjunct's
+    position in ``CompiledSpec.conjuncts``.
     """
 
     __slots__ = ("reason", "where", "depth", "index", "conjunct",
@@ -301,9 +291,6 @@ class FlatPlan:
         order = spec.label_order
         self.order = order
         self.slot_of = {label: i for i, label in enumerate(order)}
-        self.prefix_sets = [
-            frozenset(order[:k]) for k in range(len(order) + 1)
-        ]
         conjuncts = compiled.conjuncts
         labelsets = compiled.labelsets
 
@@ -351,22 +338,11 @@ class FlatPlan:
                 const_key = (
                     (conjuncts[i], label, ()) if not key_pairs else None
                 )
-                single = key_pairs[0] if len(key_pairs) == 1 else None
-                double = None
-                if len(key_pairs) == 2:
-                    (l0, s0), (l1, s1) = key_pairs
-                    double = (l0, s0, l1, s1)
-                proposers.append(
-                    (conjuncts[i], key_pairs, const_key, single, double)
-                )
-            proposers = tuple(proposers)
+                proposers.append((conjuncts[i], key_pairs, const_key))
             self.steps.append(
-                PlanStep(label, k, CheckChain(checks, tail), proposers)
+                PlanStep(label, CheckChain(checks, tail), tuple(proposers),
+                         (label, bound_before))
             )
-
-        #: Depth → label table, used when flushing per-depth candidate
-        #: statistics into ``SolverStats`` after a search.
-        self.step_label = [s.label for s in self.steps]
 
         # -- full-prefix replay (mirrors the interpreted engine) ----------
         self.prefix_len = compiled.prefix_len
@@ -389,20 +365,15 @@ class FlatPlan:
             self.pruning_decisions.extend(decisions)
             self.replay_chain = CheckChain(checks, tail)
 
-        # -- partial-prefix trie replay -----------------------------------
-        self.partial_base: IdiomSpec | None = None
-        self.partial_len = 0
-        self.partial_chain: CheckChain | None = None
-        if not self.prefix_len:
-            self._compile_partial_prefix(compiled, conjuncts, labelsets)
+        #: ``(slot, label)`` pairs a replayed base tuple binds.
+        self.prefix_slots = tuple(enumerate(order[: self.prefix_len]))
 
-        # -- specialized search function ----------------------------------
         # The search binds into a per-plan slot buffer (all-unbound
-        # between searches — every exit path of the generated function
-        # restores it), so detect_plan allocates nothing per call.
-        self._slots = [_UNBOUND] * len(order)
+        # between searches — _search restores it on every exit), so
+        # detect_plan allocates nothing per call.
+        self._unbound = [_UNBOUND] * len(order)
+        self._slots = list(self._unbound)
         self._view = SlotView(self._slots, self.slot_of, order)
-        self.search_src, self.search = _codegen_search(self)
 
     @staticmethod
     def _base_established_keys(base, prefix_set):
@@ -422,324 +393,6 @@ class FlatPlan:
                         keys.setdefault(implied_key, conjunct)
         return keys
 
-    def _compile_partial_prefix(self, compiled, conjuncts, labelsets):
-        """Index the mid-order shared prefix with the declared base.
-
-        Engaged when full-prefix replay is unavailable (the orders
-        diverge before the base's order ends) but a proper shared
-        prefix remains and the base's conjunct objects appear verbatim
-        — the ICSL ``extends`` guarantee that makes the base's
-        depth-``d`` frontier a sound stand-in for this spec's own
-        prefix search.
-        """
-        spec = self.spec
-        base = spec.declared_base
-        if base is None or spec.base is not None:
-            return
-        depth = spec.shared_prefix_len()
-        if depth == 0:
-            return
-        from .core import top_level_conjuncts
-
-        base_conjuncts = top_level_conjuncts(base.constraint)
-        own_ids = {id(c) for c in conjuncts}
-        if any(id(c) not in own_ids for c in base_conjuncts):
-            return  # conjuncts were rebuilt, not shared: cannot replay
-        base_ids = {id(c) for c in base_conjuncts}
-        prefix_set = set(self.order[:depth])
-        base_keys = self._base_established_keys(base, prefix_set)
-        replay = [
-            (i, conjuncts[i], labelsets[i])
-            for i in range(len(conjuncts))
-            if id(conjuncts[i]) not in base_ids
-            and (labelsets[i] & prefix_set)
-        ]
-        checks, tail, decisions = _compile_slice(
-            replay,
-            self.slot_of,
-            lambda labelset, _p=prefix_set: labelset & _p,
-            where="partial",
-            depth=depth,
-            known_keys=base_keys,
-        )
-        self.conjuncts_pruned += len(decisions)
-        self.pruning_decisions.extend(decisions)
-        self.partial_base = base
-        self.partial_len = depth
-        self.partial_chain = CheckChain(checks, tail)
-
-
-def _codegen_search(plan: FlatPlan):
-    """Generate and compile the specialized search function of a plan.
-
-    The final lowering stage: instead of interpreting the per-depth
-    step tables with a generic recursive loop, emit one Python function
-    per plan — a ladder of per-depth closures whose slot indices,
-    proposal memo-key shapes, check chains and counter deltas are baked
-    in as source-level constants — then ``compile``/``exec`` it once
-    and cache the function on the plan.  Per search node this removes
-    every table index, the check-dispatch loop (lowered to a nested
-    ``if`` chain), and all constant arithmetic on the statistics
-    counters.  Semantics are unchanged: the generated function is the
-    same search the generic loop ran, so the engine stays bit-identical
-    to the interpreted oracle.
-
-    Returns ``(source, function)``.  The function signature is
-
-    ``_search(ctx, slots, view, memo, isect_memo, depth_memo, universe,
-    results, limit_v, stop_depth, stats, mode, frontier)``
-
-    and it flushes all search counters and per-depth candidate
-    statistics straight into ``stats`` (the dict keys are compile-time
-    constants).  ``mode`` selects a fresh search from depth 0 (``0``),
-    a full-prefix replay of ``frontier`` (``1``), or a partial-prefix
-    trie replay (``2``); the replay bodies are specialized per plan —
-    binder slots, check chain and entry depth are baked in.
-    """
-    order = plan.order
-    nslots = len(order)
-    env: dict = {
-        "order": order,
-        "slot_of": plan.slot_of,
-        "_UNBOUND": _UNBOUND,
-        "intersect_proposals": intersect_proposals,
-    }
-    lines: list[str] = []
-
-    def w(indent: int, text: str) -> None:
-        lines.append("    " * indent + text)
-
-    def emit_rows(ind: int, k: int, rows, label: str) -> None:
-        for i, (conjunct, key_pairs, const_key, single,
-                double) in enumerate(rows):
-            cname = f"c{k}_{i}"
-            env[cname] = conjunct
-            if const_key is not None:
-                kname = f"key{k}_{i}"
-                env[kname] = const_key
-                key_expr = kname
-            elif single is not None:
-                l, s = single
-                key_expr = f"({cname}, {label!r}, (({l!r}, id(slots[{s}])),))"
-            elif double is not None:
-                l0, s0, l1, s1 = double
-                key_expr = (
-                    f"({cname}, {label!r}, (({l0!r}, id(slots[{s0}])), "
-                    f"({l1!r}, id(slots[{s1}]))))"
-                )
-            else:
-                pname = f"pairs{k}_{i}"
-                env[pname] = key_pairs
-                key_expr = (
-                    f"({cname}, {label!r}, "
-                    f"tuple((l, id(slots[s])) for l, s in {pname}))"
-                )
-            w(ind, f"key = {key_expr}")
-            w(ind, "try:")
-            w(ind + 1, "cand = memo[key]")
-            w(ind + 1, "n_hits += 1")
-            w(ind, "except KeyError:")
-            w(ind + 1, f"cand = {cname}.propose(ctx, view, {label!r})")
-            w(ind + 1, "if cand is not None:")
-            w(ind + 2, "cand = list(cand)")
-            w(ind + 1, "memo[key] = cand")
-            w(ind, "if cand is not None:")
-            w(ind + 1, "proposals.append(cand)")
-
-    def emit_loop(ind: int, k: int, chain: CheckChain, slot: int) -> None:
-        fns_count = len(chain.fns)
-        fail = chain.fail_pruned
-        passp = chain.pass_pruned
-        w(ind, "for value in candidates:")
-        w(ind + 1, f"slots[{slot}] = value")
-        w(ind + 1, "n_tried += 1")
-
-        def descend(j: int) -> None:
-            if passp:
-                w(ind + 1 + j, f"n_pruned += {passp}")
-            w(ind + 1 + j, f"if not cont{k}():")
-            w(ind + 2 + j, f"slots[{slot}] = _UNBOUND")
-            w(ind + 2 + j, "return False")
-
-        if fns_count == 0:
-            descend(0)
-        else:
-            def nest(i: int) -> None:
-                if i == fns_count:
-                    w(ind + 1 + i, f"n_evals += {fns_count}")
-                    descend(i)
-                    return
-                w(ind + 1 + i, f"if f{k}_{i}(ctx, slots, view):")
-                nest(i + 1)
-                w(ind + 1 + i, "else:")
-                w(ind + 2 + i, f"n_evals += {i + 1}")
-                if fail[i]:
-                    w(ind + 2 + i, f"n_pruned += {fail[i]}")
-                w(ind + 2 + i, "n_rejected += 1")
-
-            nest(0)
-        w(ind, f"slots[{slot}] = _UNBOUND")
-        w(ind, "return True")
-
-    w(0, "def _search(ctx, slots, view, memo, isect_memo, depth_memo,")
-    w(0, "            universe, results, limit_v, stop_depth, stats,")
-    w(0, "            mode, frontier):")
-    for name in ("n_tried", "n_evals", "n_pruned", "n_rejected",
-                 "n_hits", "n_fallbacks", "n_solutions"):
-        w(1, f"{name} = 0")
-    for k in range(nslots):
-        w(1, f"nv{k} = 0")
-        w(1, f"nc{k} = 0")
-    w(1, "order_prefix = order[:stop_depth]")
-    w(1, "def emit():")
-    w(2, "nonlocal n_solutions")
-    w(2, "if len(results) >= limit_v:")
-    w(3, "return False")
-    w(2, "results.append(dict(zip(order_prefix, slots)))")
-    w(2, "n_solutions += 1")
-    w(2, "return True")
-
-    for k, step in enumerate(plan.steps):
-        chain = step.chain
-        env[f"step{k}"] = step
-        for i, fn in enumerate(chain.fns):
-            env[f"f{k}_{i}"] = fn
-        rows = step.proposers
-        label = step.label
-        w(1, f"def d{k}():")
-        w(2, "nonlocal n_tried, n_evals, n_pruned, n_rejected, "
-             f"n_hits, n_fallbacks, nv{k}, nc{k}")
-        w(2, "if len(results) >= limit_v:")
-        w(3, "return False")
-        if rows:
-            ids = ", ".join(f"id(slots[{s}])" for s in step.dep_slots)
-            inner = f"({ids},)" if len(step.dep_slots) == 1 else f"({ids})"
-            w(2, f"dkey = (step{k}, {inner})")
-            w(2, "entry = depth_memo.get(dkey)")
-            w(2, "if entry is not None:")
-            w(3, "candidates, fu = entry")
-            w(3, f"n_hits += {len(rows)}")
-            w(3, "if fu:")
-            w(4, "n_fallbacks += 1")
-            w(2, "else:")
-            w(3, "proposals = []")
-            emit_rows(3, k, rows, label)
-            w(3, "if proposals:")
-            w(4, "if len(proposals) == 1:")
-            w(5, "candidates = proposals[0]")
-            w(4, "else:")
-            w(5, "ikey = tuple(map(id, proposals))")
-            w(5, "candidates = isect_memo.get(ikey)")
-            w(5, "if candidates is None:")
-            w(6, "candidates = intersect_proposals(proposals)")
-            w(6, "isect_memo[ikey] = candidates")
-            w(4, "fu = False")
-            w(3, "else:")
-            w(4, "candidates = universe")
-            w(4, "n_fallbacks += 1")
-            w(4, "fu = True")
-            w(3, "depth_memo[dkey] = (candidates, fu)")
-        else:
-            w(2, "candidates = universe")
-            w(2, "n_fallbacks += 1")
-        w(2, f"nv{k} += 1")
-        w(2, f"nc{k} += len(candidates)")
-        emit_loop(2, k, chain, step.slot)
-
-    for k in range(nslots):
-        if k + 1 < nslots:
-            w(1, f"cont{k} = d{k + 1} if stop_depth > {k + 1} else emit")
-        else:
-            w(1, f"cont{k} = emit")
-
-    def emit_replay(mname: str, chain: CheckChain, start: int) -> None:
-        fnames = []
-        for i, fn in enumerate(chain.fns):
-            env[f"{mname}_f{i}"] = fn
-            fnames.append(f"{mname}_f{i}")
-        entry = f"d{start}" if start < nslots else "emit"
-        m = len(fnames)
-        w(1, f"def {mname}():")
-        w(2, "nonlocal n_evals, n_pruned, n_rejected")
-        w(2, "for node in frontier:")
-        w(3, "if len(results) >= limit_v:")
-        w(4, "break")
-        for i in range(start):
-            w(3, f"slots[{i}] = node[{order[i]!r}]")
-        if m == 0:
-            if chain.pass_pruned:
-                w(3, f"n_pruned += {chain.pass_pruned}")
-            w(3, f"{entry}()")
-        else:
-            def nest(i: int) -> None:
-                if i == m:
-                    w(3 + i, f"n_evals += {m}")
-                    if chain.pass_pruned:
-                        w(3 + i, f"n_pruned += {chain.pass_pruned}")
-                    w(3 + i, f"{entry}()")
-                    return
-                w(3 + i, f"if {fnames[i]}(ctx, slots, view):")
-                nest(i + 1)
-                w(3 + i, "else:")
-                w(4 + i, f"n_evals += {i + 1}")
-                if chain.fail_pruned[i]:
-                    w(4 + i, f"n_pruned += {chain.fail_pruned[i]}")
-                w(4 + i, "n_rejected += 1")
-
-            nest(0)
-        w(2, f"for i in range({nslots}):")
-        w(3, "slots[i] = _UNBOUND")
-
-    if plan.replay_chain is not None:
-        emit_replay("replay1", plan.replay_chain, plan.prefix_len)
-    if plan.partial_chain is not None:
-        emit_replay("replay2", plan.partial_chain, plan.partial_len)
-
-    w(1, "if mode == 0:")
-    if nslots:
-        w(2, "if stop_depth:")
-        w(3, "d0()")
-        w(2, "else:")
-        w(3, "emit()")
-    else:
-        w(2, "emit()")
-    if plan.replay_chain is not None:
-        w(1, "elif mode == 1:")
-        w(2, "replay1()")
-    if plan.partial_chain is not None:
-        w(1, "elif mode == 2:")
-        w(2, "replay2()")
-
-    # Statistics flush: straight-line stores with the per-depth dict
-    # keys ((label, bound-prefix) pairs) baked as constants.
-    if nslots:
-        w(1, "per_label = stats.candidates_per_label")
-        w(1, "per_prefix = stats.candidates_per_prefix")
-    for k, step in enumerate(plan.steps):
-        label = step.label
-        pname = f"pkey{k}"
-        env[pname] = (label, plan.prefix_sets[k])
-        w(1, f"if nv{k}:")
-        w(2, f"per_label[{label!r}] = per_label.get({label!r}, 0) + nc{k}")
-        w(2, f"prev = per_prefix.get({pname})")
-        w(2, "if prev is None:")
-        w(3, f"per_prefix[{pname}] = (nv{k}, nc{k})")
-        w(2, "else:")
-        w(3, f"per_prefix[{pname}] = (prev[0] + nv{k}, prev[1] + nc{k})")
-    w(1, "stats.assignments_tried += n_tried")
-    w(1, "stats.constraint_evals += n_evals")
-    w(1, "stats.evals_pruned += n_pruned")
-    w(1, "stats.partial_rejections += n_rejected")
-    w(1, "stats.proposal_cache_hits += n_hits")
-    w(1, "stats.fallbacks_to_universe += n_fallbacks")
-    w(1, "stats.solutions += n_solutions")
-
-    src = "\n".join(lines)
-    name = getattr(plan.spec, "name", "spec")
-    code = compile(src, f"<flatplan:{name}>", "exec")
-    exec(code, env)
-    return src, env["_search"]
-
 
 def compile_plan(spec: IdiomSpec) -> FlatPlan:
     """The flat plan of ``spec`` (cached on the spec object)."""
@@ -756,7 +409,6 @@ def detect_plan(
     stats=None,
     limit: int | None = None,
     cache=None,
-    _frontier_depth: int | None = None,
 ):
     """All assignments satisfying ``spec`` — the compiled engine.
 
@@ -767,58 +419,191 @@ def detect_plan(
     ``fallbacks_to_universe``, candidate statistics, proposal cache
     hits, prefix reuses), and ``constraint_evals + evals_pruned`` equal
     to the interpreted engine's ``constraint_evals``.
-
-    ``_frontier_depth`` is internal: enumerate the depth-``d`` search
-    frontier (partial assignments of the first ``d`` labels) instead of
-    full solutions — the producer of the shared prefix trie.
     """
     from .solver import SolverStats
 
     plan = compile_plan(spec)
     stats = stats if stats is not None else SolverStats()
     cache = cache if cache is not None else ctx.solver_cache
-    nslots = len(plan.order)
     results: list[dict[str, Value]] = []
     stats.conjuncts_pruned += plan.conjuncts_pruned
-    stop_depth = nslots if _frontier_depth is None else _frontier_depth
-    limit_v = _NO_LIMIT if limit is None else limit
-
-    # Resolve replay up front; the generated search function then runs
-    # a fresh depth-0 search (mode 0), a full-prefix replay (mode 1)
-    # or a partial-prefix trie replay (mode 2) — the replay bodies are
-    # specialized into the function alongside the depth ladder.
-    mode = 0
     frontier = None
-    if _frontier_depth is None:
-        if plan.prefix_len:
-            prefix = _base_solutions(ctx, spec, stats, cache, limit)
-            if prefix is not None:
-                stats.prefix_reuses += 1
-                mode = 1
-                frontier = prefix
-        elif plan.partial_base is not None:
-            shared = _partial_frontier(ctx, plan, stats, cache, limit)
-            if shared is not None:
-                stats.trie_reuses += 1
-                mode = 2
-                frontier = shared
-
-    plan.search(
-        ctx,
-        plan._slots,
-        plan._view,
-        cache.proposal_memo,
-        cache.intersection_memo,
-        cache.depth_memo,
-        ctx.universe,
-        results,
-        limit_v,
-        stop_depth,
-        stats,
-        mode,
-        frontier,
-    )
+    if plan.prefix_len:
+        frontier = _base_solutions(ctx, spec, stats, cache, limit)
+        if frontier is not None:
+            stats.prefix_reuses += 1
+    _search(plan, ctx, cache, results,
+            _NO_LIMIT if limit is None else limit, stats, frontier)
     return results
+
+
+def _search(plan, ctx, cache, results, limit_v, stats, frontier):
+    """Run ``plan``'s depth-first search, appending to ``results``.
+
+    ``frontier`` is None for a search from depth 0, or the base spec's
+    solved prefix tuples to replay: each is bound into the first
+    ``plan.prefix_len`` slots, re-validated against the replay chain
+    and searched on from there.  The search is iterative and runs in
+    this one frame: ``iters[k]`` is depth ``k``'s candidate iterator,
+    ``k`` the depth being bound, and every counter a local, flushed
+    into ``stats`` once at the end.  Once ``limit_v`` solutions exist
+    the next descent aborts the whole search — the interpreted
+    engine's limit check at the top of each recursion.
+    """
+    steps = plan.steps
+    n = len(steps)
+    order = plan.order
+    slots = plan._slots
+    view = plan._view
+    memo = cache.proposal_memo
+    isect_memo = cache.intersection_memo
+    depth_memo = cache.depth_memo
+    universe = ctx.universe
+    n_tried = n_evals = n_pruned = n_rejected = 0
+    n_hits = n_fallbacks = n_solutions = 0
+    visits = [0] * n
+    sizes = [0] * n
+    iters: list = [None] * n
+    if frontier is None:
+        start, replay, frontier = 0, None, (None,)
+    else:
+        start, replay = plan.prefix_len, plan.replay_chain
+    try:
+        for node in frontier:
+            if len(results) >= limit_v:
+                break
+            if replay is not None:
+                for i, label in plan.prefix_slots:
+                    slots[i] = node[label]
+                rejected = False
+                for fn, fail_evals, fail_pruned in replay.checks:
+                    if not fn(ctx, slots, view):
+                        n_evals += fail_evals
+                        n_pruned += fail_pruned
+                        n_rejected += 1
+                        rejected = True
+                        break
+                if rejected:
+                    continue
+                n_evals += replay.pass_evals
+                n_pruned += replay.pass_pruned
+            k = start
+            while True:
+                # Enter depth k: emit a full assignment, or open the
+                # depth's candidate iterator.
+                if len(results) >= limit_v:
+                    break
+                if k == n:
+                    results.append(dict(zip(order, slots)))
+                    n_solutions += 1
+                    k -= 1
+                else:
+                    step = steps[k]
+                    rows = step.proposers
+                    if rows:
+                        # Keys grow by tuple concatenation: on CPython
+                        # 3.11 a comprehension costs a frame per call.
+                        ids = ()
+                        for s in step.dep_slots:
+                            ids += (id(slots[s]),)
+                        dkey = (step, ids)
+                        entry = depth_memo.get(dkey)
+                        if entry is not None:
+                            candidates, fell_back = entry
+                            n_hits += len(rows)
+                            if fell_back:
+                                n_fallbacks += 1
+                        else:
+                            label = step.label
+                            proposals = []
+                            for conjunct, pairs, key in rows:
+                                if key is None:
+                                    bound = ()
+                                    for l, s in pairs:
+                                        bound += ((l, id(slots[s])),)
+                                    key = (conjunct, label, bound)
+                                try:
+                                    cand = memo[key]
+                                    n_hits += 1
+                                except KeyError:
+                                    cand = conjunct.propose(ctx, view, label)
+                                    if cand is not None:
+                                        cand = list(cand)
+                                    memo[key] = cand
+                                if cand is not None:
+                                    proposals.append(cand)
+                            if not proposals:
+                                candidates = universe
+                                n_fallbacks += 1
+                            elif len(proposals) == 1:
+                                candidates = proposals[0]
+                            else:
+                                ikey = tuple(map(id, proposals))
+                                candidates = isect_memo.get(ikey)
+                                if candidates is None:
+                                    candidates = intersect_proposals(
+                                        proposals
+                                    )
+                                    isect_memo[ikey] = candidates
+                            depth_memo[dkey] = (candidates, not proposals)
+                    else:
+                        candidates = universe
+                        n_fallbacks += 1
+                    visits[k] += 1
+                    sizes[k] += len(candidates)
+                    iters[k] = iter(candidates)
+                # Advance the deepest open iterator to its next accepted
+                # candidate (then descend), popping exhausted depths.
+                while k >= start:
+                    chain = steps[k].chain
+                    checks = chain.checks
+                    for value in iters[k]:
+                        slots[k] = value
+                        n_tried += 1
+                        for fn, fail_evals, fail_pruned in checks:
+                            if not fn(ctx, slots, view):
+                                n_evals += fail_evals
+                                n_pruned += fail_pruned
+                                n_rejected += 1
+                                break
+                        else:
+                            n_evals += chain.pass_evals
+                            n_pruned += chain.pass_pruned
+                            break
+                    else:
+                        slots[k] = _UNBOUND
+                        k -= 1
+                        continue
+                    k += 1
+                    break
+                if k < start:
+                    break
+    finally:
+        slots[:] = plan._unbound
+
+    # Visited depths are contiguous from ``start``: a depth is entered
+    # only through an accepted candidate one level up.
+    per_label = stats.candidates_per_label
+    per_prefix = stats.candidates_per_prefix
+    for k in range(start, n):
+        count = visits[k]
+        if not count:
+            break
+        step = steps[k]
+        total = sizes[k]
+        per_label[step.label] = per_label.get(step.label, 0) + total
+        prev = per_prefix.get(step.prefix_key)
+        per_prefix[step.prefix_key] = (
+            (count, total) if prev is None
+            else (prev[0] + count, prev[1] + total)
+        )
+    stats.assignments_tried += n_tried
+    stats.constraint_evals += n_evals
+    stats.evals_pruned += n_pruned
+    stats.partial_rejections += n_rejected
+    stats.proposal_cache_hits += n_hits
+    stats.fallbacks_to_universe += n_fallbacks
+    stats.solutions += n_solutions
 
 
 def _base_solutions(ctx, spec, stats, cache, limit):
@@ -840,33 +625,3 @@ def _base_solutions(ctx, spec, stats, cache, limit):
         base_stats.prefix_reuses = 0
         stats.merge(base_stats)
     return solutions
-
-
-def _partial_frontier(ctx, plan, stats, cache, limit):
-    """The declared base's depth-``d`` search frontier, or None.
-
-    Computed at most once per cache by a truncated plan search of the
-    base spec (effort charged to the requester, like full-prefix
-    replay); a ``limit``-bounded search only ever replays a frontier
-    some unbounded search already paid for.
-    """
-    from .solver import SolverStats
-
-    key = (plan.partial_base, plan.partial_len)
-    frontier = cache.prefix_trie.get(key)
-    if frontier is None:
-        if limit is not None:
-            return None
-        base_stats = SolverStats()
-        frontier = detect_plan(
-            ctx,
-            plan.partial_base,
-            stats=base_stats,
-            cache=cache,
-            _frontier_depth=plan.partial_len,
-        )
-        cache.prefix_trie[key] = frontier
-        base_stats.solutions = 0
-        base_stats.prefix_reuses = 0
-        stats.merge(base_stats)
-    return frontier

@@ -20,12 +20,12 @@ re-walking the whole constraint tree — sound because a conjunct's
 partial verdict only depends on the bindings of its own labels, so
 unaffected conjuncts keep the verdict they produced at an earlier
 depth.  :func:`detect` runs that search through the flat-plan engine
-(:mod:`~repro.constraints.plan`), which lowers the index into one
-generated search function per spec.  :func:`detect_interpreted` walks
-the same index over the constraint objects: it is the test reference
-(the only check that the plan engine's ``constraint_evals +
-evals_pruned`` reconciles), and its ``incremental=False`` mode keeps
-the naive full-tree walk.  Every path counts conjunct evaluations in
+(:mod:`~repro.constraints.plan`), which lowers the index into per-depth
+plan data that one generic search loop runs.
+:func:`detect_interpreted` walks the same index over the constraint
+objects: it is the test reference (the only check that the plan
+engine's ``constraint_evals + evals_pruned`` reconciles), and its
+``incremental=False`` mode keeps the naive full-tree walk.  Every path counts conjunct evaluations in
 :attr:`SolverStats.constraint_evals` (the CoreDiag-flavored metric: how
 much redundant constraint evaluation was eliminated).
 
@@ -102,8 +102,10 @@ class SolverStats:
     #: ``interpreted.constraint_evals == plan.constraint_evals +
     #: plan.evals_pruned`` for the same search.
     evals_pruned: int = 0
-    #: Searches that replayed a partial (mid-order) base frontier from
-    #: the shared prefix trie instead of re-enumerating it.
+    #: Always 0: no search path increments it.  The field stays
+    #: because it is part of :meth:`canonical`, so it is inside every
+    #: saved feedback artifact's fingerprint — dropping it would make
+    #: those artifacts fail their fingerprint check on load.
     trie_reuses: int = 0
 
     def record_candidates(self, label: str, bound: frozenset[str],
@@ -298,12 +300,6 @@ class SharedSolverCache:
       prefix (see :meth:`CompiledSpec.prefix_plan`); the scalar and
       histogram idioms both extend ``for-loop``, so its search runs
       once per context instead of once per spec;
-    * ``prefix_trie`` — *partial* search states for the plan engine:
-      the depth-``d`` frontier of a base spec's search, keyed
-      ``(base spec, d)``.  An ``extends`` spec whose enumeration order
-      diverges from the base mid-way (so full-prefix replay is
-      unavailable) replays the shared frontier at the divergence depth
-      (see :mod:`~repro.constraints.plan`);
     * ``intersection_memo`` — plan-engine memo of
       :func:`~repro.constraints.logical.intersect_proposals` results,
       keyed by the identities of the memoized proposal lists being
@@ -326,9 +322,6 @@ class SharedSolverCache:
         #: can therefore never alias a stale entry.
         self.proposal_memo: dict = {}
         self.base_solutions: dict[IdiomSpec, list[dict[str, Value]]] = {}
-        self.prefix_trie: dict[
-            tuple[IdiomSpec, int], list[dict[str, Value]]
-        ] = {}
         self.intersection_memo: dict[tuple, list[Value]] = {}
         self.depth_memo: dict[tuple, tuple[list[Value], bool]] = {}
 
@@ -344,7 +337,6 @@ class SharedSolverCache:
         """Drop all shared search state (frees the pinned objects)."""
         self.proposal_memo.clear()
         self.base_solutions.clear()
-        self.prefix_trie.clear()
         self.intersection_memo.clear()
         self.depth_memo.clear()
 
@@ -487,10 +479,10 @@ def detect(
     """All assignments satisfying ``spec`` in ``ctx``'s function.
 
     Runs the flat-plan engine (:func:`~repro.constraints.plan.
-    detect_plan`): slot-indexed atom closures, compile-time redundancy
-    pruning (recorded in ``SolverStats.evals_pruned``) and
-    partial-prefix trie replay.  ``constraint_evals`` counts only the
-    evaluations actually performed.
+    detect_plan`): slot-indexed atom closures and compile-time
+    redundancy pruning (recorded in ``SolverStats.evals_pruned``).
+    ``constraint_evals`` counts only the evaluations actually
+    performed.
 
     ``cache`` defaults to ``ctx.solver_cache`` — the per-context shared
     state (memoized proposals, solved base prefixes).  Pass a fresh

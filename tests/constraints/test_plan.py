@@ -13,9 +13,10 @@ detect_interpreted`) is the oracle; :func:`repro.constraints.detect`
 
 The matrix runs every shipped ``.icsl`` spec over the differential C
 corpus, then hypothesis-randomized label/conjunct orders over the
-mini-specs, plus targeted coverage of the plan-only machinery: the
-partial-prefix replay trie (hit, miss and limit-bounded paths) and the
-plan/codegen cache.
+mini-specs, plus targeted coverage of the search loop's other paths: an
+``extends`` order that keeps only part of the base's prefix, every
+shipped spec under a solution ``limit`` (full-prefix replay included)
+on every corpus function, and the plan cache.
 """
 
 import subprocess
@@ -29,12 +30,14 @@ from repro.constraints import (
     ConstraintAnd,
     IdiomSpec,
     SharedSolverCache,
+    SolverContext,
     SolverStats,
     detect,
 )
 from repro.constraints.plan import _UNBOUND, compile_plan, detect_plan
 from repro.constraints.solver import detect_interpreted
 from repro.idioms import BUILTIN_IDIOMS, IdiomRegistry
+from repro.workloads.corpus import all_programs
 from test_differential import CORPUS, MINI_SPECS, contexts_for, solution_set
 
 REGISTRY = IdiomRegistry()
@@ -164,13 +167,13 @@ def test_random_orders_compiled_matches_interpreted(idiom, program, data):
         assert canon == baseline
 
 
-# -- partial-prefix replay trie -----------------------------------------------
+# -- an extends order that keeps only part of the base prefix ---------------
 
 
 def _partial_prefix_spec(depth: int = 8) -> IdiomSpec:
     """scalar-reduction with its tail rotated so only the first
     ``depth`` labels still match the declared for-loop base — full
-    prefix replay is off, the trie path is on."""
+    prefix replay is off, and the search starts from depth 0."""
     scalar = REGISTRY.spec("scalar-reduction")
     order = scalar.label_order
     rotated = order[:depth] + (order[depth + 1], order[depth],) + order[depth + 2:]
@@ -180,64 +183,61 @@ def _partial_prefix_spec(depth: int = 8) -> IdiomSpec:
     return spec
 
 
-def test_partial_prefix_trie_replay_matches_interpreted():
+def test_partial_prefix_order_matches_interpreted():
+    """An order that leaves the base's order after depth 8 searches
+    from depth 0 in lockstep with the reference: same solutions, and
+    every counter equal (evals reconciled)."""
     spec = _partial_prefix_spec()
-    plan = compile_plan(spec)
-    assert plan.prefix_len == 0
-    assert plan.partial_base is spec.declared_base
-    assert plan.partial_len == 8
+    assert spec.shared_prefix_len() == 8
+    assert compile_plan(spec).prefix_len == 0
     for program in ("scalar-sum", "nested-sum", "iterator-carried"):
         for ctx in contexts_for(CORPUS[program]):
-            interpreted = detect_interpreted(ctx, spec,
-                                             cache=SharedSolverCache())
-            stats = SolverStats()
-            compiled = detect_plan(ctx, spec, stats=stats,
-                                   cache=SharedSolverCache())
-            assert compiled == interpreted
-            # The first unbounded search pays for the frontier and
-            # replays it (the interpreter has no trie, so raw stats
-            # diverge by the shared-base accounting — solutions and
-            # solution counts cannot).
-            assert stats.trie_reuses == 1
-            assert stats.solutions == len(interpreted)
+            stats = assert_engines_agree(ctx, spec)
+            assert stats.prefix_reuses == 0
+            assert stats.trie_reuses == 0
 
 
-def test_partial_prefix_trie_hit_and_miss_paths():
-    spec = _partial_prefix_spec()
-    for ctx in contexts_for(CORPUS["scalar-sum"]):
-        cache = SharedSolverCache()
-        # Miss: a limit-bounded search on a cold cache must not compute
-        # the frontier (limit must stay cheap) — plain DFS instead.
-        cold_stats = SolverStats()
-        bounded = detect_plan(ctx, spec, stats=cold_stats, limit=1,
-                              cache=cache)
-        assert cold_stats.trie_reuses == 0
-        assert not cache.prefix_trie
-        # Fill: the unbounded search computes and stores the frontier.
-        warm_stats = SolverStats()
-        full = detect_plan(ctx, spec, stats=warm_stats, cache=cache)
-        assert warm_stats.trie_reuses == 1
-        key = (spec.declared_base, 8)
-        assert key in cache.prefix_trie
-        assert bounded == full[:1]
-        # Hit: the stored frontier is replayed, not recomputed — the
-        # second search tries strictly fewer assignments.
-        replay_stats = SolverStats()
-        again = detect_plan(ctx, spec, stats=replay_stats, cache=cache)
-        assert again == full
-        assert replay_stats.trie_reuses == 1
-        if warm_stats.assignments_tried:
-            assert (replay_stats.assignments_tried
-                    < warm_stats.assignments_tried)
-        # ...and a bounded search replays it too, never recomputing.
-        bounded_warm = SolverStats()
-        head = detect_plan(ctx, spec, stats=bounded_warm, limit=1,
-                           cache=cache)
-        assert head == full[:1]
-        assert bounded_warm.trie_reuses == 1
+# -- limit-bounded searches ---------------------------------------------------
 
 
-# -- plan construction and codegen invariants ---------------------------------
+def test_limit_bounded_search_matches_interpreted():
+    """``limit`` aborts the search mid-descent; the abort must stop on
+    exactly the reference's last node.  Every shipped spec, every
+    corpus function, limits 1-3, with the for-loop base already solved
+    into both caches so full-prefix replay also runs bounded."""
+    specs = [REGISTRY.spec(name) for name in sorted(BUILTIN_IDIOMS)]
+    bases = {spec.base for spec in specs if spec.base is not None}
+    plans = [compile_plan(spec) for spec in specs]
+    replays = 0
+    for program in all_programs():
+        module = program.compile()
+        for function in module.defined_functions():
+            for limit in (1, 2, 3):
+                ctx = SolverContext(function, module)
+                interp_cache, comp_cache = (SharedSolverCache(),
+                                            SharedSolverCache())
+                for base in bases:
+                    interp_cache.store_solutions(base, detect_interpreted(
+                        ctx, base, cache=interp_cache))
+                    comp_cache.store_solutions(base, detect(
+                        ctx, base, cache=comp_cache))
+                for spec, plan in zip(specs, plans):
+                    interp_stats, comp_stats = SolverStats(), SolverStats()
+                    interpreted = detect_interpreted(
+                        ctx, spec, stats=interp_stats, limit=limit,
+                        cache=interp_cache,
+                    )
+                    compiled = detect(ctx, spec, stats=comp_stats,
+                                      limit=limit, cache=comp_cache)
+                    assert compiled == interpreted, (program.name, spec.name)
+                    assert len(compiled) <= limit
+                    assert_stats_reconcile(interp_stats, comp_stats)
+                    assert all(slot is _UNBOUND for slot in plan._slots)
+                    replays += comp_stats.prefix_reuses
+    assert replays > 0  # bounded full-prefix replay actually ran
+
+
+# -- plan construction invariants ---------------------------------------------
 
 
 def test_plan_is_cached_per_spec_and_slots_are_restored():
@@ -245,12 +245,11 @@ def test_plan_is_cached_per_spec_and_slots_are_restored():
     plan = compile_plan(spec)
     assert compile_plan(spec) is plan  # cached on the spec object
     assert plan.conjuncts_pruned > 0
-    assert "def _search(" in plan.search_src  # the generated source ships
     ctx = contexts_for(CORPUS["histogram"])[0]
     detect_plan(ctx, spec, cache=SharedSolverCache())
-    # Every exit path of the generated search restores the reusable
-    # per-plan slot buffer — a stale binding would leak one search's
-    # values into the next.
+    # The search restores the reusable per-plan slot buffer on every
+    # exit — a stale binding would leak one search's values into the
+    # next.
     assert all(slot is _UNBOUND for slot in plan._slots)
 
 
