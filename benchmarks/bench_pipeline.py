@@ -1,12 +1,13 @@
-"""Corpus-scale pipeline benchmark: the serial run vs the sharded
+"""Corpus-scale pipeline benchmark: the serial run vs the parallel
 pipeline — plus the persistent serving engine and measured-cost
-sharding.
+scheduling.
 
 Acceptance metric of the pipeline, recorded in
-``results/BENCH_pipeline.json``: the sharded run (``jobs>1``) produces
-a report **identical** to the serial one (same fingerprint, timings
-aside).  The wall-clock of both runs is recorded, not asserted: on a
-single core sharding only adds process overhead.
+``results/BENCH_pipeline.json``: the parallel run (``jobs>1``, one
+short-lived serving session) produces a report **identical** to the
+serial one (same fingerprint, timings aside).  The wall-clock of both
+runs is recorded, not asserted: on a single core parallelism only adds
+process overhead.
 
 Acceptance metric of the serving engine + measured-cost sharding,
 recorded in ``results/BENCH_serving.json``:
@@ -24,7 +25,9 @@ recorded in ``results/BENCH_serving.json``:
   schedule built from run A's costs must win under run B's costs, so
   the comparison cannot be circular — and summed over a grid of shard
   counts where each worker holds only a few programs and proxy error
-  cannot average out.
+  cannot average out.  The makespan of the policy the engine actually
+  runs — ``lpt_order`` pulled by the earliest-free worker — is recorded
+  for both weight sources too, without a gate.
 """
 
 import json
@@ -41,10 +44,11 @@ from repro.pipeline import (
     ProgramDigest,
     ServingEngine,
     detect_corpus,
-    make_shards,
+    lpt_order,
     measured_weights,
     plan_units,
     report_to_json,
+    unit_weight,
 )
 
 #: Shard count for the parallel configuration (>1 by construction).
@@ -128,6 +132,32 @@ def test_sharded_pipeline_matches_serial(benchmark):
 
 
 # -- serving engine + measured-cost sharding ----------------------------------
+
+
+def _lpt_shards(units, jobs, weight=None):
+    """Greedy LPT dealing: heaviest unit first onto the lightest shard
+    (ties by shard index), the weight evaluated once per unit."""
+    weight = weight if weight is not None else unit_weight
+    weights = {unit: weight(unit) for unit in units}
+    loads = [0.0] * jobs
+    shards = [[] for _ in range(jobs)]
+    for unit in lpt_order(units, weights.__getitem__):
+        target = min(range(jobs), key=lambda i: (loads[i], i))
+        loads[target] += weights[unit]
+        shards[target].append(unit)
+    return shards
+
+
+def _pull_makespan(units, workers, weight, truth) -> float:
+    """Makespan of the serving engine's policy: units in ``lpt_order``,
+    each pulled by the earliest-free worker and taking its ``truth``
+    cost."""
+    free = [0.0] * workers
+    for unit in lpt_order(units, weight):
+        worker = min(range(workers), key=lambda i: (free[i], i))
+        free[worker] += truth[unit.key]
+    return max(free)
+
 
 #: Shard counts for the measured-vs-static comparison: small shards,
 #: where per-program proxy error cannot average out.
@@ -230,9 +260,9 @@ def test_serving_engine_and_measured_weights():
         per_jobs = {}
         static_total = measured_total = 0.0
         for jobs in WEIGHT_GRID:
-            static_span = makespan(make_shards(units, jobs), truth)
+            static_span = makespan(_lpt_shards(units, jobs), truth)
             measured_span = makespan(
-                make_shards(units, jobs, weight=weight), truth
+                _lpt_shards(units, jobs, weight=weight), truth
             )
             per_jobs[jobs] = (static_span, measured_span)
             static_total += static_span
@@ -243,6 +273,16 @@ def test_serving_engine_and_measured_weights():
     # The acceptance bar: schedules built from measured costs beat the
     # static proxy on the wall-clock an independent profile implies.
     assert measured_total < static_total
+
+    # Recorded, not gated: the same comparison under the pull policy
+    # the engine runs, against the same independent profile.
+    pull = {
+        jobs: (
+            _pull_makespan(units, jobs, None, truth),
+            _pull_makespan(units, jobs, weight, truth),
+        )
+        for jobs in WEIGHT_GRID
+    }
 
     payload = {
         "cpu_count": multiprocessing.cpu_count(),
@@ -277,6 +317,18 @@ def test_serving_engine_and_measured_weights():
             "win_percent": round(
                 (static_total - measured_total) / static_total * 100, 2
             ),
+        },
+        "engine_pull_makespan_seconds": {
+            "policy": "lpt_order pulled by the earliest-free worker",
+            "per_jobs": {
+                str(jobs): {
+                    "static": round(static_span, 5),
+                    "measured": round(measured_span, 5),
+                }
+                for jobs, (static_span, measured_span) in pull.items()
+            },
+            "static_total": round(sum(s for s, _ in pull.values()), 5),
+            "measured_total": round(sum(m for _, m in pull.values()), 5),
         },
         "weights_profile": report_to_json(profile),
     }

@@ -20,7 +20,7 @@ The package provides the full stack the paper builds on:
 * :mod:`repro.baselines` — Polly+reductions and icc comparison models;
 * :mod:`repro.workloads` — the 40-program NAS/Parboil/Rodinia corpus;
 * :mod:`repro.pipeline` — the corpus-scale detection pipeline
-  (sharded workers, shared solver caches, deterministic merge);
+  (staged workers, shared solver caches, deterministic merge);
 * :mod:`repro.evaluation` — one harness per table/figure of §6.
 
 Quickstart::

@@ -38,11 +38,11 @@ Commands
 ``corpus``
     Run detection over the built-in 40-program corpus through the
     batched pipeline and print the Figure 8 panels.  ``--jobs N``
-    shards work across N worker processes (the merged report is
+    serves the work on N worker processes (the merged report is
     identical to the serial one); ``--extended`` also runs the §8
     extension idioms; ``--granularity function`` ships
     ``(program, function)`` units so one giant module cannot serialize
-    the run; ``--weights-from REPORT.json`` balances shards by a
+    the run; ``--weights-from REPORT.json`` orders work by a
     previous run's measured costs; ``--save-report`` records this
     run's digests (costs included) for later ``--weights-from`` use;
     ``--save-feedback``/``--feedback-from`` do the same for the
@@ -887,10 +887,10 @@ def main(argv: list[str] | None = None) -> int:
     corpus_cmd.add_argument("--granularity",
                             choices=("program", "function"),
                             default="program",
-                            help="work-unit granularity for sharding")
+                            help="work-unit granularity")
     corpus_cmd.add_argument("--weights-from", metavar="REPORT.json",
                             default=None,
-                            help="balance shards by a previous run's "
+                            help="order work by a previous run's "
                                  "measured costs")
     corpus_cmd.add_argument("--save-report", metavar="REPORT.json",
                             default=None,

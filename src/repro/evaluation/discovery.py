@@ -6,7 +6,7 @@ that Figure 8 plots, together with the §6.1 totals.
 
 Detection runs through the corpus pipeline
 (:func:`repro.pipeline.detect_corpus`): one batched run over the
-requested suites — sharded across processes when ``jobs > 1`` — whose
+requested suites — served by worker processes when ``jobs > 1`` — whose
 deterministically merged digests feed the panels, so the paper driver
 and the production path cannot drift.
 """
@@ -102,7 +102,7 @@ def run_discovery(
 
     ``report`` reuses an existing pipeline run (``run_all_discovery``
     shares one batched run across all three panels); otherwise the
-    pipeline runs here, sharded over ``jobs`` worker processes at the
+    pipeline runs here, on ``jobs`` worker processes at the
     requested granularity — the panels are identical either way, by
     the pipeline's fingerprint contract (feedback-reordered runs
     included: a reorder moves search cost, never detections).

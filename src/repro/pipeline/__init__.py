@@ -5,18 +5,19 @@ a system that detects reductions across heavy corpus traffic as fast as
 the hardware allows.  This package is the seam between the two: a
 staged, batched detection engine that
 
-* **plans and shards** corpus work across worker processes — whole
-  programs, or ``(program, function)`` units so one giant module
-  cannot serialize a run; weighted by a static proxy or by a previous
-  run's **measured costs** (:mod:`repro.pipeline.shard`),
+* **plans** corpus work as units — whole programs, or ``(program,
+  function)`` units so one giant module cannot serialize a run — and
+  serves them heaviest-first, weighted by a static proxy or by a
+  previous run's **measured costs** (:mod:`repro.pipeline.shard`),
 * runs each unit through the **staged** worker — compile (cached per
   worker) → detect (shared solver caches) → extension idioms →
   baseline models (:mod:`repro.pipeline.worker`),
-* reduces per-shard results with a **deterministic checked merge**
+* reassembles unit results with a **deterministic checked merge**
   back into canonical corpus order (:mod:`repro.pipeline.engine`),
-* serves continuous traffic through a **persistent engine** —
-  long-lived warm workers, async submission, streamed per-program
-  digests, weighted-fair **priority scheduling** (interactive vs
+* runs every parallel job — a ``detect_corpus(jobs>1)`` sweep as a
+  short-lived session, continuous traffic as a long-lived one —
+  through one **serving engine**: warm workers, async submission,
+  streamed per-program digests, weighted-fair **priority scheduling** (interactive vs
   batch job classes), per-job **cancellation**, and **fault
   tolerance**: heartbeat liveness, worker recycling, and bounded
   resubmission of units lost to killed workers
@@ -34,6 +35,7 @@ Quickstart::
 
     from repro.pipeline import PipelineOptions, ServingEngine, detect_corpus
 
+    # jobs>1 runs one short-lived ServingEngine session.
     report = detect_corpus(jobs=4, extended=True, granularity="function")
     print(report.summary())
     assert report.fingerprint() == detect_corpus(jobs=1,
@@ -66,9 +68,7 @@ from .digest import (
     save_report,
 )
 from .engine import (
-    DetectionPipeline,
     detect_corpus,
-    merge_digests,
     merge_unit_digests,
     resolve_feedback_options,
 )
@@ -103,16 +103,14 @@ from .serving import (
 from .shard import (
     WorkUnit,
     lpt_order,
-    make_shards,
     measured_weights,
     plan_units,
     unit_weight,
 )
-from .worker import detect_program, detect_unit, run_shard, run_unit_shard
+from .worker import detect_unit, run_unit_shard
 
 __all__ = [
     "PipelineOptions",
-    "DetectionPipeline",
     "ServingEngine",
     "ServingJob",
     "JobClass",
@@ -126,17 +124,13 @@ __all__ = [
     "GatewayRejected",
     "GatewayRequestFailed",
     "detect_corpus",
-    "merge_digests",
     "merge_unit_digests",
     "lpt_order",
-    "make_shards",
     "plan_units",
     "measured_weights",
     "unit_weight",
     "WorkUnit",
-    "run_shard",
     "run_unit_shard",
-    "detect_program",
     "detect_unit",
     "CorpusReport",
     "ProgramDigest",

@@ -542,7 +542,7 @@ def report_from_json(data: dict) -> CorpusReport:
 
     The recorded fingerprint, when present, is verified against the
     rebuilt report — a corrupted or hand-edited costs file fails loudly
-    instead of silently mis-weighting shards.
+    instead of silently mis-weighting work units.
     """
     programs = tuple(program_from_json(p) for p in data["programs"])
     report = CorpusReport(

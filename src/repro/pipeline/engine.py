@@ -1,25 +1,26 @@
-"""The batch pipeline driver: plan units → shard → map → merge.
+"""The batch pipeline driver: plan units → map → checked merge.
 
 :func:`detect_corpus` is the batch entry point the evaluation drivers,
 the CLI (``python -m repro corpus --jobs N``) and the benchmarks use.
-``jobs=1`` runs the worker in-process; ``jobs>1`` spreads shards over a
-``multiprocessing`` pool.  Work is planned as
-:class:`~repro.pipeline.shard.WorkUnit`\\ s — whole programs by
-default, ``(program, function)`` pairs at function granularity — and
-every path executes the *same* worker code on the *same* deterministic
-shards before :func:`merge_unit_digests` reassembles canonical corpus
-order, so a parallel (or function-sharded) run's
-:class:`~repro.pipeline.digest.CorpusReport` is identical (same
-fingerprint) to the serial program-granularity one, only faster.
+Work is planned as :class:`~repro.pipeline.shard.WorkUnit`\\ s — whole
+programs by default, ``(program, function)`` pairs at function
+granularity.  ``jobs=1`` (or a single unit) runs the worker in-process
+and reassembles canonical corpus order with :func:`merge_unit_digests`;
+``jobs>1`` runs one short-lived
+:class:`~repro.pipeline.serving.ServingEngine` session, so a parallel
+sweep has the serving engine's dynamic pull, checked per-program
+assembly and resubmission of units lost to dead workers.  Either way the worker code is the same, so a parallel (or
+function-sharded) run's :class:`~repro.pipeline.digest.CorpusReport`
+is identical (same fingerprint) to the serial program-granularity
+one, only faster.
 
-For serving-style traffic — long-lived workers, async submission,
-streaming digests — see :mod:`repro.pipeline.serving`, which reuses
-the planning, worker and merge layers of this module.
+This module also holds the parent-side pieces both drivers share: the
+planned key set, feedback resolution and the weight source.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import dataclasses
 import time
 from typing import Callable, Sequence
 
@@ -31,37 +32,10 @@ from .digest import (
     load_report,
 )
 from .options import PipelineOptions
-from .shard import make_shards, measured_weights, plan_units
+from .shard import measured_weights, plan_units
 from .worker import run_unit_shard
 
 Key = tuple[str, str]
-
-
-def merge_digests(
-    shard_results: Sequence[Sequence[ProgramDigest]],
-    keys: Sequence[Key],
-) -> tuple[ProgramDigest, ...]:
-    """Reduce per-shard program digests back into canonical order.
-
-    The merge is *checked*: every requested key must arrive exactly
-    once, so a lost or duplicated shard fails loudly instead of
-    producing a silently-different report.
-    """
-    by_key: dict[Key, ProgramDigest] = {}
-    for digests in shard_results:
-        for digest in digests:
-            if digest.key in by_key:
-                raise ValueError(
-                    f"program {digest.key} produced by two shards"
-                )
-            by_key[digest.key] = digest
-    missing = [key for key in keys if key not in by_key]
-    if missing:
-        raise ValueError(f"shards returned no result for {missing}")
-    unexpected = set(by_key) - set(keys)
-    if unexpected:
-        raise ValueError(f"shards returned unrequested {sorted(unexpected)}")
-    return tuple(by_key[key] for key in keys)
 
 
 def merge_unit_digests(
@@ -70,11 +44,12 @@ def merge_unit_digests(
 ) -> tuple[ProgramDigest, ...]:
     """Reassemble unit digests into canonical-order program digests.
 
-    Checked like :func:`merge_digests`, one level deeper: no unit may
-    arrive twice, every requested program must arrive, and each
+    The merge is *checked*: no unit may arrive twice, every requested
+    program must arrive, nothing unrequested may appear, and each
     program's units must cover its functions exactly
     (:func:`~repro.pipeline.digest.assemble_program` verifies the
-    index range) — a shard lost mid-program fails loudly.
+    index range) — a unit lost mid-program fails loudly instead of
+    producing a silently-different report.
     """
     by_key: dict[Key, list[UnitDigest]] = {}
     seen: set[tuple[Key, str | None]] = set()
@@ -97,8 +72,8 @@ def merge_unit_digests(
 def planned_keys(options: PipelineOptions) -> list[Key]:
     """The corpus keys a run with ``options`` covers, canonical order.
 
-    Shared by the batch pipeline and the serving engine so the two can
-    never disagree on the key set (the fingerprint-identity contract).
+    Shared by :func:`detect_corpus` and the serving engine so the two
+    can never disagree on the key set (the fingerprint-identity contract).
     """
     from ..workloads import corpus_keys
 
@@ -126,8 +101,6 @@ def resolve_feedback_with_store(
     """
     if not options.feedback_from or options.spec_orders is not None:
         return options, None
-    import dataclasses
-
     from .feedback import canonical_orders, load_feedback
     from .worker import _build_registry
 
@@ -155,7 +128,7 @@ def resolve_weight_source(
     options: PipelineOptions,
     weights: "CorpusReport | Callable | None" = None,
 ) -> Callable | None:
-    """The shard-weight callable for a run, or None for the static proxy.
+    """The unit-weight callable for a run, or None for the static proxy.
 
     ``weights`` may be a previous run's :class:`CorpusReport` (its
     measured costs are used directly) or an arbitrary callable;
@@ -170,65 +143,6 @@ def resolve_weight_source(
     return None
 
 
-class DetectionPipeline:
-    """A configured corpus-detection run."""
-
-    def __init__(self, options: PipelineOptions | None = None, **kwargs):
-        self.options = (
-            options if options is not None else PipelineOptions(**kwargs)
-        )
-
-    def keys(self) -> list[Key]:
-        """The corpus keys this run covers, in canonical order."""
-        return planned_keys(self.options)
-
-    def run(
-        self,
-        keys: Sequence[Key] | None = None,
-        weights: "CorpusReport | Callable | None" = None,
-    ) -> CorpusReport:
-        """Execute the pipeline; ``keys`` restricts the program set.
-
-        ``weights`` overrides the shard-cost source (see
-        :func:`resolve_weight_source`); sharding happens in the parent
-        process, so the source never crosses a process boundary.
-        """
-        options = resolve_feedback_options(self.options)
-        keys = list(keys) if keys is not None else self.keys()
-        started = time.perf_counter()
-        units = plan_units(keys, options.granularity,
-                           options.split_threshold)
-        weight = resolve_weight_source(options, weights)
-        shards = make_shards(units, options.jobs, weight=weight)
-        if len(shards) <= 1 or options.jobs == 1:
-            shard_results = [
-                run_unit_shard(shard, options) for shard in shards
-            ]
-        else:
-            shard_results = self._run_pool(shards, options)
-        programs = merge_unit_digests(shard_results, keys)
-        return CorpusReport(
-            programs=programs,
-            jobs=options.jobs,
-            wall_seconds=time.perf_counter() - started,
-        )
-
-    def _run_pool(self, shards, options: PipelineOptions | None = None):
-        options = options if options is not None else self.options
-        method = options.start_method
-        if method is None:
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        mp = multiprocessing.get_context(method)
-        with mp.Pool(processes=len(shards)) as pool:
-            return pool.starmap(
-                run_unit_shard, [(shard, options) for shard in shards]
-            )
-
-
 def detect_corpus(
     jobs: int = 1,
     extended: bool = False,
@@ -238,7 +152,6 @@ def detect_corpus(
     start_method: str | None = None,
     keys: Sequence[Key] | None = None,
     granularity: str = "program",
-    split_threshold: int = 1,
     weights_from: str | None = None,
     weights: "CorpusReport | Callable | None" = None,
     feedback_from: str | None = None,
@@ -247,6 +160,16 @@ def detect_corpus(
     explore_seed: int = 0,
 ) -> CorpusReport:
     """Detect reductions across the corpus, optionally in parallel.
+
+    ``keys`` restricts the program set (default: the whole corpus, or
+    the ``suites`` given).  With ``jobs>1`` and more than one unit, the
+    units run on a :class:`~repro.pipeline.serving.ServingEngine` of
+    ``min(jobs, units)`` workers, started for this call and shut down
+    before it returns; otherwise they run in-process.  On the engine,
+    units lost to dead workers are resubmitted and, past the retry
+    budget, recorded on the report's ``failures``.
+    ``weights`` overrides the cost source of the heaviest-first
+    service order (see :func:`resolve_weight_source`).
 
     ``feedback_from`` re-orders every measured idiom spec from a
     recorded solver feedback artifact
@@ -272,11 +195,37 @@ def detect_corpus(
         spec_files=tuple(spec_files),
         start_method=start_method,
         granularity=granularity,
-        split_threshold=split_threshold,
         weights_from=weights_from,
         feedback_from=feedback_from,
         spec_orders=spec_orders,
         explore=explore,
         explore_seed=explore_seed,
     )
-    return DetectionPipeline(options).run(keys=keys, weights=weights)
+    keys = list(keys) if keys is not None else planned_keys(options)
+    started = time.perf_counter()
+    units = plan_units(keys, options.granularity)
+    # Resolved on every path, so a bad weights file fails even when
+    # nothing is scheduled.
+    weight = resolve_weight_source(options, weights)
+    workers = min(options.jobs, len(units))
+    if workers <= 1:
+        options = resolve_feedback_options(options)
+        programs = merge_unit_digests(
+            [run_unit_shard(units, options)], keys
+        )
+        failures = ()
+    else:
+        from .serving import ServingEngine
+
+        engine = ServingEngine(dataclasses.replace(options, jobs=workers))
+        try:
+            served = engine.submit(keys, weights=weight).result()
+        finally:
+            engine.shutdown()
+        programs, failures = served.programs, served.failures
+    return CorpusReport(
+        programs=programs,
+        jobs=options.jobs,
+        wall_seconds=time.perf_counter() - started,
+        failures=failures,
+    )

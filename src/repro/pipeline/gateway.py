@@ -546,8 +546,7 @@ class GatewayServer:
                 )
                 return
         keys = list(dict.fromkeys(keys))
-        units = len(plan_units(keys, self.options.granularity,
-                               self.options.split_threshold))
+        units = len(plan_units(keys, self.options.granularity))
         pending = self._conn_pending(conn)
         # An idle connection is always admitted, even past the budget
         # — otherwise a request bigger than the whole budget could

@@ -34,14 +34,11 @@ class PipelineOptions:
     #: module cannot serialize a run.  Reports are fingerprint-identical
     #: either way.
     granularity: str = "program"
-    #: Function granularity only: programs with fewer defined functions
-    #: than this stay whole.
-    split_threshold: int = 1
     #: Path to a previous run's report JSON
     #: (:func:`~repro.pipeline.digest.save_report`); its recorded
-    #: ``stage_seconds``/``constraint_evals`` weight the shards
-    #: (measured-cost balancing) instead of the static source-length
-    #: proxy.
+    #: ``stage_seconds``/``constraint_evals`` set the heaviest-first
+    #: service order of parallel runs (measured-cost balancing) instead
+    #: of the static source-length proxy.
     weights_from: str | None = None
     #: Path to a solver feedback artifact
     #: (:func:`~repro.pipeline.feedback.save_feedback`); the recorded
@@ -78,18 +75,20 @@ class PipelineOptions:
     #: serving sessions self-tune.  Off by default so a default serve
     #: run stays bit-comparable to the batch engine (`--check`).
     feedback_refresh: bool = False
-    #: Serving engine only: recycle a worker process after it has
-    #: completed this many units (None = never).  Recycling bounds the
-    #: memory a long-lived worker's caches can accumulate and proves
-    #: the pool survives worker turnover.
+    #: Worker pool (serving sessions and ``detect_corpus(jobs>1)``):
+    #: recycle a worker process after it has completed this many units
+    #: (None = never).  Recycling bounds the memory a long-lived
+    #: worker's caches can accumulate and proves the pool survives
+    #: worker turnover.
     max_tasks_per_worker: int | None = None
-    #: Serving engine only: how many times a unit lost to a dead
-    #: worker is resubmitted before the job records a structured
+    #: Worker pool (serving sessions and ``detect_corpus(jobs>1)``):
+    #: how many times a unit lost to a dead worker is resubmitted
+    #: before the job records a structured
     #: :class:`~repro.pipeline.digest.UnitFailure` for its program.
     max_unit_retries: int = 2
-    #: Serving engine only: units queued on each worker *beyond* the
-    #: one it is running (its dispatch window is ``1 +
-    #: prefetch_units``).  Prefetching hides the parent's dispatch
+    #: Worker pool (serving sessions and ``detect_corpus(jobs>1)``):
+    #: units queued on each worker *beyond* the one it is running (its
+    #: dispatch window is ``1 + prefetch_units``).  Prefetching hides the parent's dispatch
     #: latency — a worker finishing a unit starts the next one from its
     #: own queue instead of idling a round-trip through the supervisor
     #: (measured in ``results/BENCH_gateway.json``).  A dead worker's
@@ -112,11 +111,13 @@ class PipelineOptions:
     #: retry-after frame instead of being queued — a greedy batch
     #: client saturates its own budget, not the scheduler.
     gateway_unit_budget: int = 256
-    #: Serving engine only: seconds between worker heartbeat messages.
+    #: Worker pool (serving sessions and ``detect_corpus(jobs>1)``):
+    #: seconds between worker heartbeat messages.
     heartbeat_interval: float = 1.0
-    #: Serving engine only: a worker whose process is alive but whose
-    #: last heartbeat is older than this is declared hung and replaced
-    #: (its in-flight unit is resubmitted like any lost unit).
+    #: Worker pool (serving sessions and ``detect_corpus(jobs>1)``): a
+    #: worker whose process is alive but whose last heartbeat is older
+    #: than this is declared hung and replaced (its in-flight unit is
+    #: resubmitted like any lost unit).
     heartbeat_timeout: float = 30.0
 
     def __post_init__(self) -> None:

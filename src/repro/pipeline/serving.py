@@ -1,12 +1,13 @@
 """Persistent serving engine: long-lived workers, streamed digests,
 priority scheduling and fault tolerance.
 
-The batch pipeline (:mod:`repro.pipeline.engine`) spins up a process
-pool per run — the right shape for one corpus sweep, the wrong one for
-serving-style traffic where requests arrive continuously and a pool's
-start-up cost (process spawn, registry build, module compiles) would be
-paid per request.  :class:`ServingEngine` keeps a fixed set of worker
-processes alive across requests:
+:class:`ServingEngine` is the one parallel driver: a long-lived
+session serves continuous traffic, and ``detect_corpus(jobs>1)``
+(:mod:`repro.pipeline.engine`) runs one short-lived session per
+sweep — start, one submit, shutdown.  A long-lived session keeps a
+fixed set of worker processes alive across requests, so process
+spawn, registry builds and module compiles are paid once per worker,
+not once per request:
 
 * **submission is asynchronous** — :meth:`ServingEngine.submit` plans
   the request into :class:`~repro.pipeline.shard.WorkUnit`\\ s, enqueues
@@ -39,10 +40,10 @@ processes alive across requests:
   cache for the life of the process, so repeated traffic over the same
   corpus pays compiles once per worker, not once per request.
 
-Determinism is preserved exactly as in batch mode:
-:meth:`ServingJob.result` reassembles units through the same checked
-merge, so a serving run's :class:`~repro.pipeline.digest.CorpusReport`
-is fingerprint-identical to ``detect_corpus(jobs=1)`` with the same
+Determinism: :meth:`ServingJob.result` reassembles each program
+through the checked :func:`~repro.pipeline.digest.assemble_program`,
+so a serving run's :class:`~repro.pipeline.digest.CorpusReport` is
+fingerprint-identical to ``detect_corpus(jobs=1)`` with the same
 options — including runs where a worker was killed mid-job and its
 units were resubmitted (property- and chaos-tested in
 ``tests/pipeline/test_serving.py`` and
@@ -730,11 +731,11 @@ class ServingEngine:
     ) -> ServingJob:
         """Enqueue a request; returns immediately.
 
-        Units are planned and cost-ordered exactly as in batch mode
-        (granularity, measured weights) and enter the priority
-        scheduler heaviest-first within the job, so the pool drains
-        each job LPT-style; across jobs the scheduler interleaves by
-        class weight.  Planning happens *before* any worker is
+        Units are planned at the options' granularity, cost-ordered by
+        the weight source (measured weights or the static proxy) and
+        enter the priority scheduler heaviest-first within the job, so
+        the pool drains each job LPT-style; across jobs the scheduler
+        interleaves by class weight.  Planning happens *before* any worker is
         spawned, and a submit that fails after auto-starting a
         previously idle engine tears the pool back down — a raising
         ``submit`` never leaks worker processes.
@@ -752,8 +753,7 @@ class ServingEngine:
         job = None
         try:
             options = self.options
-            units = plan_units(keys, options.granularity,
-                               options.split_threshold)
+            units = plan_units(keys, options.granularity)
             if weights is not None:
                 weight = resolve_weight_source(options, weights)
             else:

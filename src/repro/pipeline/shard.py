@@ -1,23 +1,23 @@
-"""Deterministic corpus sharding, at program or function granularity.
+"""Corpus work units, their cost weights and the LPT service order.
 
 Work is split into :class:`WorkUnit`\\ s — a whole program, or one
 ``(program, function)`` pair for function-granularity runs where a
-single giant program must not serialize the whole run — balanced by a
-cost weight and assigned with longest-processing-time-first.  The
-result is a pure function of ``(items, jobs, weights)``, so every run
-with the same inputs produces the same shards regardless of
-scheduling.
+single giant program must not serialize the whole run.  Parallel runs
+serve units heaviest-first (:func:`lpt_order`): the serving engine's
+workers pull from one queue in that order, so the longest units start
+first and the short tail fills the gaps.  The order is a pure function
+of ``(items, weights)``.
 
 Weights come from one of two sources:
 
 * the **static proxy** — source length for a program, instruction
   count for a function: cheap, available cold, correlates with
-  detection effort well enough to balance a first run;
+  detection effort well enough to order a first run;
 * **measured costs** (:func:`measured_weights`) — the recorded
   ``stage_seconds`` / ``constraint_evals`` of a previous run's digests,
   mirroring the cost-aware ``suggest_order``: feed observed effort
-  back in and the shards balance on what detection actually cost, with
-  the static proxy as the cold-start fallback for unseen work.
+  back in and the service order follows what detection actually cost,
+  with the static proxy as the cold-start fallback for unseen work.
 """
 
 from __future__ import annotations
@@ -29,13 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .digest import CorpusReport
 
 Key = tuple[str, str]
-
-#: Default granularity threshold: programs with at least this many
-#: defined functions are split into per-function units.  1 splits
-#: everything, which maximizes schedulability; the engine exposes it so
-#: callers can keep small programs whole.
-SPLIT_THRESHOLD = 1
-
 
 @dataclass(frozen=True)
 class WorkUnit:
@@ -61,7 +54,7 @@ def default_weight(key: Key) -> int:
     """Static cost proxy: the program's source length.
 
     Detection effort grows with function count and size; source length
-    tracks both well enough to balance shards without running anything.
+    tracks both well enough to order work without running anything.
     """
     from ..workloads import program
 
@@ -85,19 +78,16 @@ def unit_weight(unit: WorkUnit) -> float:
 
 
 def plan_units(
-    keys: Sequence[Key],
-    granularity: str = "program",
-    split_threshold: int = SPLIT_THRESHOLD,
+    keys: Sequence[Key], granularity: str = "program"
 ) -> list[WorkUnit]:
     """Expand corpus keys into schedulable work units.
 
     ``granularity="program"`` maps each key to one whole-program unit.
-    ``granularity="function"`` splits every program with at least
-    ``split_threshold`` defined functions into per-function units (in
-    the module's function order, so merged results are reproducible);
-    the first unit of each program is the ``lead`` that also runs the
-    program-level stages.  Programs below the threshold (or with no
-    defined functions) stay whole.
+    ``granularity="function"`` splits every program into per-function
+    units (in the module's function order, so merged results are
+    reproducible); the first unit of each program is the ``lead`` that
+    also runs the program-level stages.  A program with no defined
+    functions stays whole.
     """
     if granularity not in ("program", "function"):
         raise ValueError(
@@ -112,7 +102,7 @@ def plan_units(
     for name, suite in keys:
         module = program(name, suite).compile()
         functions = [f.name for f in module.defined_functions()]
-        if len(functions) < max(1, split_threshold):
+        if not functions:
             units.append(WorkUnit(name, suite))
             continue
         for i, function in enumerate(functions):
@@ -132,8 +122,8 @@ def measured_weights(
     are the function's ``constraint_evals`` — the solver effort that
     dominates the detect stage.  Both are expressed on the *seconds*
     scale (eval counts are rescaled by the report-wide seconds/eval
-    ratio), so program and function units stay commensurable when a
-    ``split_threshold`` mixes the two in one schedule.
+    ratio), so program and function units stay commensurable when one
+    schedule mixes the two.
 
     **Cold-start blending**: work absent from the report (new
     programs, renamed functions) is scheduled at its *static proxy
@@ -146,16 +136,16 @@ def measured_weights(
     unavailable (not in the corpus) falls back to the measured mean,
     and a report with *zero* resolvable entries of a kind — pure cold
     start — degrades to weights proportional to the static proxy,
-    which shard identically to the proxy itself (LPT is invariant
-    under positive scaling).
+    which order work identically to the proxy itself (LPT is
+    invariant under positive scaling).
     """
     program_cost: dict[Key, float] = {}
     function_cost: dict[tuple[Key, str], float] = {}
     # Eval counts (thousands) and stage seconds (~0.01) are not
     # commensurable; everything below is rescaled onto the seconds
     # scale by the report-wide seconds/eval ratio, so untimed programs
-    # and function units cannot grab a whole shard for themselves
-    # among second-scale peers.
+    # and function units cannot jump the service order among
+    # second-scale peers.
     timed = [
         (sum(d.stage_seconds.values()), 1 + d.constraint_evals)
         for d in report.programs
@@ -260,11 +250,18 @@ def measured_weights(
     return weight
 
 
-def _lpt(
-    items: list, weight: Callable | None
-) -> tuple[list, dict]:
-    """(items heaviest-first, memoized weights) — ties broken by input
-    position, the weight source evaluated exactly once per item."""
+def lpt_order(
+    items: Sequence[Hashable], weight: Callable | None = None
+) -> list:
+    """``items`` heaviest-first, ties broken by input position.
+
+    The longest-processing-time service order of the serving engine,
+    whose workers pull from one queue in this order.  ``weight``
+    defaults to the static proxy (:func:`unit_weight` for work units,
+    :func:`default_weight` for corpus keys) and is evaluated exactly
+    once per item — cost sources may load programs or walk digests.
+    """
+    items = list(items)
     if weight is None:
         weight = (
             unit_weight
@@ -273,56 +270,4 @@ def _lpt(
         )
     weights = {item: weight(item) for item in items}
     position = {item: i for i, item in enumerate(items)}
-    ordered = sorted(items, key=lambda k: (-weights[k], position[k]))
-    return ordered, weights
-
-
-def lpt_order(
-    items: Sequence[Hashable], weight: Callable | None = None
-) -> list:
-    """``items`` heaviest-first, ties broken by input position.
-
-    The longest-processing-time service order shared by
-    :func:`make_shards` (which deals the result onto shards) and the
-    serving engine (whose workers pull from one queue in this order).
-    The weight source is evaluated exactly once per item.
-    """
-    ordered, _ = _lpt(list(items), weight)
-    return ordered
-
-
-def make_shards(
-    items: Sequence[Hashable],
-    jobs: int,
-    weight: Callable | None = None,
-) -> list[list]:
-    """Split ``items`` into at most ``jobs`` balanced, deterministic shards.
-
-    ``items`` are corpus keys or :class:`WorkUnit`\\ s (any hashable
-    unique items work).  Greedy LPT: heaviest item first, onto the
-    lightest shard; ties broken by shard index and by the item's
-    position in ``items`` — no dependence on dict/set iteration or
-    timing.  Within a shard, items keep their canonical (input) order.
-
-    ``weight`` is evaluated **once per item** per invocation — cost
-    sources may load programs or walk digests, so the memo matters.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    items = list(items)
-    if not items:
-        return []
-    jobs = min(jobs, len(items))
-    if jobs == 1:
-        return [items]
-    ordered, weights = _lpt(items, weight)
-    position = {item: i for i, item in enumerate(items)}
-    loads = [0.0] * jobs
-    assigned: list[list] = [[] for _ in range(jobs)]
-    for item in ordered:
-        target = min(range(jobs), key=lambda i: (loads[i], i))
-        loads[target] += weights[item]
-        assigned[target].append(item)
-    for shard in assigned:
-        shard.sort(key=lambda k: position[k])
-    return [shard for shard in assigned if shard]
+    return sorted(items, key=lambda k: (-weights[k], position[k]))

@@ -26,8 +26,9 @@ Solver state is per-function (each function gets a fresh
 search-effort counters included — is identical whether its program ran
 whole in one worker or split across ten.
 
-``run_shard`` / ``run_unit_shard`` are module-level functions so
-``multiprocessing`` can pickle them under any start method.
+:func:`run_unit_shard` is the in-process driver ``detect_corpus(jobs=1)``
+uses; parallel runs call :func:`detect_unit` from the serving engine's
+worker loop (:func:`~repro.pipeline.serving.serve_worker`).
 """
 
 from __future__ import annotations
@@ -36,13 +37,7 @@ import threading
 import time
 from typing import Sequence
 
-from .digest import (
-    ProgramDigest,
-    UnitDigest,
-    assemble_program,
-    digest_extensions,
-    digest_function,
-)
+from .digest import UnitDigest, digest_extensions, digest_function
 from .options import PipelineOptions
 from .shard import WorkUnit
 
@@ -368,34 +363,14 @@ def detect_unit(
     )
 
 
-def detect_program(
-    key: tuple[str, str],
-    options: PipelineOptions,
-    registry=None,
-) -> ProgramDigest:
-    """Run one corpus program through every pipeline stage."""
-    unit = WorkUnit(key[0], key[1])
-    return assemble_program([detect_unit(unit, options, registry)])
-
-
 def run_unit_shard(
     shard: Sequence[WorkUnit], options: PipelineOptions
 ) -> list[UnitDigest]:
-    """Process one shard of work units; registry and compiled modules
-    are built once per shard."""
+    """Process a list of work units in-process; registry and compiled
+    modules are built once for the whole list."""
     registry = _build_registry(options)
     modules = ModuleCache(options.module_cache_size)
     return [
         detect_unit(unit, options, registry, modules) for unit in shard
     ]
 
-
-def run_shard(
-    shard: Sequence[tuple[str, str]], options: PipelineOptions
-) -> list[ProgramDigest]:
-    """Process one shard of corpus keys (program granularity)."""
-    units = [WorkUnit(name, suite) for name, suite in shard]
-    return [
-        assemble_program([unit_digest])
-        for unit_digest in run_unit_shard(units, options)
-    ]

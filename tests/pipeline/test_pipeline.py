@@ -1,8 +1,8 @@
 """Tests for the corpus-scale detection pipeline.
 
-The determinism contract: a sharded run (``jobs>1``) must produce a
+The determinism contract: a parallel run (``jobs>1``) must produce a
 report *identical* — same digests, same fingerprint — to the serial
-run, for any shard count and any program subset; and the shared-cache
+run, for any worker count and any program subset; and the shared-cache
 engine must find exactly the detections of the per-call-cache PR-1
 engine, with strictly less search effort.
 """
@@ -20,14 +20,12 @@ from repro.pipeline import (
     detect_unit,
     digest_extensions,
     digest_report,
-    make_shards,
+    lpt_order,
     measured_weights,
-    merge_digests,
     merge_unit_digests,
     plan_units,
     report_from_json,
     report_to_json,
-    run_shard,
     run_unit_shard,
     unit_weight,
 )
@@ -36,7 +34,7 @@ from repro.workloads import corpus_keys, program
 KEYS = corpus_keys()
 
 
-# -- sharding -----------------------------------------------------------------
+# -- keys and the service order ----------------------------------------------
 
 
 def test_corpus_keys_cover_the_40_programs():
@@ -44,40 +42,19 @@ def test_corpus_keys_cover_the_40_programs():
     assert len(set(KEYS)) == 40
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3, 7, 40, 100])
-def test_make_shards_partitions_exactly(jobs):
-    shards = make_shards(KEYS, jobs)
-    assert len(shards) <= jobs
-    flattened = [key for shard in shards for key in shard]
-    assert sorted(flattened) == sorted(KEYS)
-    # Deterministic: the same inputs shard the same way.
-    assert shards == make_shards(KEYS, jobs)
-
-
-def test_make_shards_preserves_canonical_order_within_shards():
-    for shard in make_shards(KEYS, 4):
-        positions = [KEYS.index(key) for key in shard]
-        assert positions == sorted(positions)
-
-
-def test_make_shards_rejects_bad_jobs():
-    with pytest.raises(ValueError):
-        make_shards(KEYS, 0)
-
-
-def test_make_shards_evaluates_weight_once_per_key():
+def test_lpt_order_evaluates_weight_once_per_key():
     """The weight source may load programs or walk digests, so
-    ``make_shards`` must memoize it — one call per key per invocation
-    (the PR-2 engine called it twice: in the sort key and again when
-    accumulating loads)."""
+    ``lpt_order`` must memoize it — one call per key per invocation,
+    not one per sort comparison."""
     calls = []
 
     def counting_weight(key):
         calls.append(key)
         return len(key[0])
 
-    make_shards(KEYS, 4, weight=counting_weight)
+    ordered = lpt_order(KEYS, weight=counting_weight)
     assert sorted(calls) == sorted(KEYS)
+    assert sorted(ordered) == sorted(KEYS)
 
 
 # -- work units and weights ---------------------------------------------------
@@ -99,17 +76,11 @@ def test_plan_units_function_granularity_covers_every_function():
         module = program(*key).compile()
         defined = [f.name for f in module.defined_functions()]
         if len(key_units) == 1 and key_units[0].function is None:
-            continue  # below threshold, stays whole
+            continue  # no defined functions, stays whole
         assert [u.function for u in key_units] == defined
         # Exactly one lead unit per program carries the baselines.
         assert [u.lead for u in key_units].count(True) == 1
         assert key_units[0].lead
-
-
-def test_plan_units_split_threshold_keeps_small_programs_whole():
-    units = plan_units(KEYS, "function", split_threshold=10 ** 6)
-    assert [u.key for u in units] == KEYS
-    assert all(u.function is None for u in units)
 
 
 def test_plan_units_rejects_unknown_granularity():
@@ -177,13 +148,13 @@ def test_options_validate_cache_and_budget_bounds():
 def test_bounded_module_cache_never_changes_digests():
     """Eviction is recompute cost only: the tightest possible cache
     (one module per worker) produces byte-identical digests."""
-    from repro.pipeline import DetectionPipeline
+    from repro.pipeline import ServingEngine
 
     serial = detect_corpus(jobs=1, keys=KEYS[:4])
-    bounded = DetectionPipeline(
+    bounded = ServingEngine(
         PipelineOptions(jobs=2, granularity="function",
                         module_cache_size=1)
-    ).run(keys=KEYS[:4])
+    ).serve(KEYS[:4])
     assert bounded.programs == serial.programs
     assert bounded.fingerprint() == serial.fingerprint()
 
@@ -240,7 +211,7 @@ def test_function_units_assemble_to_the_program_digest():
     regrouped, baselines from the lead unit."""
     options = PipelineOptions(extended=True, baselines=True)
     for key in [("EP", "NAS"), ("histo", "Parboil"), ("kmeans", "Rodinia")]:
-        whole = run_shard([key], options)[0]
+        whole = assemble_program(run_unit_shard([WorkUnit(*key)], options))
         units = plan_units([key], "function")
         unit_digests = run_unit_shard(units, options)
         assembled = assemble_program(unit_digests)
@@ -324,29 +295,15 @@ def test_report_json_rejects_tampered_contents():
         report_from_json(data)
 
 
-# -- merge --------------------------------------------------------------------
+# -- per-program digests ------------------------------------------------------
 
 
 def _digests(keys):
-    return run_shard(keys, PipelineOptions())
-
-
-def test_merge_restores_canonical_order():
-    keys = KEYS[:4]
-    shards = [[keys[2], keys[3]], [keys[0], keys[1]]]
-    merged = merge_digests([_digests(s) for s in shards], keys)
-    assert [d.key for d in merged] == keys
-
-
-def test_merge_rejects_duplicates_missing_and_unrequested():
-    keys = KEYS[:2]
-    digests = _digests(keys)
-    with pytest.raises(ValueError, match="two shards"):
-        merge_digests([digests, digests], keys)
-    with pytest.raises(ValueError, match="no result"):
-        merge_digests([digests], KEYS[:3])
-    with pytest.raises(ValueError, match="unrequested"):
-        merge_digests([digests], keys[:1])
+    options = PipelineOptions()
+    return [
+        assemble_program(run_unit_shard([WorkUnit(*key)], options))
+        for key in keys
+    ]
 
 
 # -- determinism: jobs=1 ≡ jobs=N --------------------------------------------

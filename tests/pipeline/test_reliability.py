@@ -10,6 +10,7 @@ abandoned after bounded retries must surface as a structured
 """
 
 import multiprocessing
+import os
 import time
 
 import pytest
@@ -27,11 +28,12 @@ from repro.pipeline import (
     UnitFailure,
     WorkUnit,
     detect_corpus,
-    make_shards,
+    lpt_order,
     measured_weights,
     report_from_json,
     report_to_json,
 )
+from repro.pipeline.shard import default_weight
 from repro.workloads import corpus_keys
 
 KEYS = corpus_keys()
@@ -311,6 +313,72 @@ def test_retry_exhaustion_records_a_structured_unit_failure():
     assert after.fingerprint() == serial(KEYS[:2]).fingerprint()
 
 
+# -- detect_corpus(jobs>1) survives worker death ------------------------------
+
+EP = ("EP", "NAS")
+NAS_KEYS = [("CG", "NAS"), EP, ("IS", "NAS")]
+
+
+def _kill_workers_on_ep(monkeypatch, marker=None):
+    """Make every worker process ``os._exit`` when it starts the EP
+    unit — once (recorded in ``marker``), or on every attempt when no
+    marker is given.  The parent keeps the real ``detect_unit``."""
+    import repro.pipeline.serving as serving_module
+    import repro.pipeline.worker as worker_module
+
+    real = worker_module.detect_unit
+    parent = os.getpid()
+
+    def dying(unit, *args, **kwargs):
+        if unit.key == EP and os.getpid() != parent:
+            if marker is None or not marker.exists():
+                if marker is not None:
+                    marker.touch()
+                os._exit(1)
+        return real(unit, *args, **kwargs)
+
+    monkeypatch.setattr(worker_module, "detect_unit", dying)
+    monkeypatch.setattr(serving_module, "detect_unit", dying)
+
+
+@pytest.mark.skipif("fork" not in START_METHODS,
+                    reason="the patched worker is inherited through fork")
+def test_detect_corpus_resubmits_a_unit_whose_worker_died(
+        monkeypatch, tmp_path):
+    """A parallel sweep whose worker dies once on EP resubmits the
+    unit and returns the serial report, with no failures."""
+    expected = serial(NAS_KEYS)
+    marker = tmp_path / "died-once"
+    _kill_workers_on_ep(monkeypatch, marker)
+    report = detect_corpus(jobs=2, keys=NAS_KEYS, start_method="fork")
+    assert marker.exists()  # a worker really died on EP
+    assert report.failures == ()
+    assert report.jobs == 2
+    assert report.fingerprint() == expected.fingerprint()
+
+
+@pytest.mark.skipif("fork" not in START_METHODS,
+                    reason="the patched worker is inherited through fork")
+def test_detect_corpus_records_a_unit_that_kills_every_worker(
+        monkeypatch):
+    """A unit that kills its worker on every attempt becomes one
+    :class:`UnitFailure` after the retry budget; the other programs
+    are still reported, in canonical order."""
+    expected = serial(NAS_KEYS)
+    _kill_workers_on_ep(monkeypatch)
+    report = detect_corpus(jobs=2, keys=NAS_KEYS, start_method="fork")
+    assert len(report.failures) == 1
+    failure = report.failures[0]
+    assert failure.key == EP
+    assert failure.attempts == PipelineOptions().max_unit_retries + 1
+    assert [d.key for d in report.programs] == [
+        key for key in NAS_KEYS if key != EP
+    ]
+    assert report.programs == tuple(
+        d for d in expected.programs if d.key != EP
+    )
+
+
 def test_unit_failures_round_trip_through_report_json():
     report = detect_corpus(jobs=1, keys=KEYS[:2])
     wounded = report.__class__(
@@ -434,44 +502,44 @@ def test_failing_submit_keeps_a_busy_engine_running():
 # -- cold-start-aware measured weights ----------------------------------------
 
 
+def _assert_proportional_to_proxy(weight, keys):
+    ratios = [weight(k) / default_weight(k) for k in keys]
+    for ratio in ratios[1:]:
+        assert ratio == pytest.approx(ratios[0])
+
+
 def test_pure_cold_start_shards_exactly_like_the_static_proxy():
     """ROADMAP's cold-start item, degenerate case: a measured report
     covering *zero* of the submitted programs yields weights
-    proportional to the static proxy — and LPT sharding is invariant
-    under positive scaling, so the shards are identical."""
+    proportional to the static proxy — and the LPT service order is
+    invariant under positive scaling, so the order is identical."""
     report = detect_corpus(jobs=1, keys=KEYS[:6])
     cold_keys = [k for k in KEYS if k not in set(KEYS[:6])]
     weight = measured_weights(report)
-    for jobs in (2, 3, 5):
-        assert make_shards(cold_keys, jobs, weight=weight) == make_shards(
-            cold_keys, jobs
-        )
+    _assert_proportional_to_proxy(weight, cold_keys)
+    assert lpt_order(cold_keys, weight) == lpt_order(cold_keys)
 
 
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_cold_start_property_disjoint_reports_reproduce_proxy_shards(data):
-    """Property form over random disjoint splits and shard counts."""
+    """Property form over random disjoint splits."""
     seen = data.draw(
         st.lists(st.sampled_from(KEYS), min_size=1, max_size=6,
                  unique=True),
         label="seen",
     )
     cold = [k for k in KEYS if k not in set(seen)][:10]
-    jobs = data.draw(st.integers(min_value=2, max_value=5), label="jobs")
     report = detect_corpus(jobs=1, keys=sorted(seen, key=KEYS.index))
     weight = measured_weights(report)
-    assert make_shards(cold, jobs, weight=weight) == make_shards(
-        cold, jobs
-    )
+    _assert_proportional_to_proxy(weight, cold)
+    assert lpt_order(cold, weight) == lpt_order(cold)
 
 
 def test_unseen_weights_scale_with_the_static_proxy():
     """Warm entries keep their measured cost; unseen programs are
     differentiated by their proxy on the measured scale — a big cold
     program weighs more than a small one, proportionally."""
-    from repro.pipeline.shard import default_weight
-
     report = detect_corpus(jobs=1, keys=KEYS[:5])
     weight = measured_weights(report)
     cold = [k for k in KEYS if k not in set(KEYS[:5])][:4]
@@ -541,7 +609,6 @@ def test_unresolvable_unseen_work_falls_back_to_the_measured_mean():
 
 def test_empty_report_weights_are_the_static_proxy_itself():
     from repro.pipeline import CorpusReport
-    from repro.pipeline.shard import default_weight
 
     weight = measured_weights(CorpusReport(programs=()))
     for key in KEYS[:4]:
