@@ -3,11 +3,14 @@
 The :class:`~repro.pipeline.serving.ServingEngine` has priority
 scheduling, cancellation, fault tolerance and streaming — but only
 in-process callers can reach it.  :class:`GatewayServer` puts a
-long-lived asyncio TCP server in front (stdlib only), following the
-shape of a long-lived application loop fed by a thin connectivity
-layer: the asyncio side does nothing but frame I/O, and one dedicated
-**driver thread** owns every engine interaction, so the engine's
-single-threaded supervisor loop never races the event loop.
+long-lived asyncio TCP server in front (stdlib only).  One event loop
+on one thread does everything: it reads and writes the client frames,
+it watches every worker's result pipe (``loop.add_reader``), and it is
+the engine's only caller.  A frame, a readable pipe (a result, a
+heartbeat or a dead worker's EOF) or the heartbeat deadline — the one
+timer — each runs one non-blocking service step: pump the engine,
+stream what completed, re-sync the watched pipes with the live
+workers.  Nothing between the socket and the workers waits on a clock.
 
 Wire protocol
 -------------
@@ -63,7 +66,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import queue
+import os
 import socket
 import struct
 import threading
@@ -172,26 +175,20 @@ async def _read_frame_async(reader) -> dict:
 
 
 class _Conn:
-    """One client connection, as the server sees it.
+    """One client connection, as the server's event loop sees it:
+    the stream writer frames go out on, and the accepted requests not
+    yet answered with a terminal frame, by client id."""
 
-    ``outbox`` belongs to the event loop (the writer task drains it);
-    ``requests`` belongs to the driver thread.  ``closed`` is flipped
-    by the driver on disconnect so late sends are dropped instead of
-    queued for a writer that is shutting down.
-    """
+    __slots__ = ("id", "writer", "requests")
 
-    __slots__ = ("id", "writer", "outbox", "requests", "closed")
-
-    def __init__(self, conn_id: int, writer, outbox):
+    def __init__(self, conn_id: int, writer):
         self.id = conn_id
         self.writer = writer
-        self.outbox = outbox
         self.requests: dict = {}
-        self.closed = False
 
 
 class _ServerRequest:
-    """Driver-side state of one accepted submit."""
+    """Server-side state of one accepted submit."""
 
     __slots__ = ("client_id", "job", "units", "started")
 
@@ -207,7 +204,8 @@ class GatewayServer:
 
     ``port=0`` binds an ephemeral port (read :attr:`port` after
     :meth:`start`).  The server is a context manager; :meth:`close`
-    drains the driver, shuts the engine down and stops the event loop.
+    stops the event loop, which closes every connection and shuts the
+    engine down on its way out.
     Admission budget defaults to the options'
     ``gateway_unit_budget``.
     """
@@ -228,14 +226,17 @@ class GatewayServer:
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         self.engine = ServingEngine(self.options)
-        self._commands: "queue.Queue[tuple]" = queue.Queue()
         self._conns: dict[int, _Conn] = {}
         self._conn_ids = itertools.count()
         self._loop = None
         self._stopped = None
         self._loop_thread: threading.Thread | None = None
-        self._driver: threading.Thread | None = None
         self._startup_error: BaseException | None = None
+        #: Watched worker pipes: the engine's connection -> the
+        #: duplicate fd registered with the loop (see :meth:`_watch`).
+        self._watched: dict = {}
+        #: The heartbeat-deadline timer, the loop's only timed wait.
+        self._timer = None
         #: EWMA of observed wall seconds per work unit — the basis of
         #: the ``retry_after`` hint in reject frames.
         self._unit_seconds = 0.1
@@ -254,13 +255,14 @@ class GatewayServer:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "GatewayServer":
-        """Bind the socket, spawn workers and the driver (idempotent)."""
+        """Bind the socket and start the event loop over the workers
+        (idempotent)."""
         if self._loop_thread is not None:
             return self
         # Workers come up before the first byte is accepted, and on
         # the caller's thread — spawn and feedback-artifact errors
         # surface here, not inside a background loop.  From here on
-        # the driver thread is the engine's only caller.
+        # the loop thread is the engine's only caller.
         self.engine.start()
         import asyncio
 
@@ -269,7 +271,7 @@ class GatewayServer:
         def run_loop() -> None:
             try:
                 asyncio.run(self._main(ready))
-            except BaseException as exc:  # pragma: no cover - defensive
+            except BaseException as exc:
                 self._startup_error = self._startup_error or exc
             finally:
                 ready.set()
@@ -283,30 +285,22 @@ class GatewayServer:
             error = self._startup_error or GatewayError(
                 "gateway event loop failed to start"
             )
-            self.engine.shutdown()
-            self._loop_thread.join(timeout=5)
-            self._loop_thread = None
+            self.close()
             raise error
-        self._driver = threading.Thread(
-            target=self._drive, daemon=True, name="gateway-driver"
-        )
-        self._driver.start()
         return self
 
     def close(self) -> None:
-        """Stop serving: drain the driver, shut the engine down
-        (idempotent)."""
+        """Stop serving: the loop closes every connection, shuts the
+        engine down and exits (idempotent)."""
         if self._loop_thread is None:
             return
-        if self._driver is not None:
-            self._commands.put(("stop",))
-            self._driver.join(timeout=60)
-            self._driver = None
-        self._signal_loop_stop()
-        self._loop_thread.join(timeout=10)
+        if self._loop is not None:
+            try:
+                self._loop.call_soon_threadsafe(self._stopped.set)
+            except RuntimeError:  # the loop already exited
+                pass
+        self._loop_thread.join(timeout=60)
         self._loop_thread = None
-        if self.engine.running:  # pragma: no cover - driver crash path
-            self.engine.shutdown()
 
     def __enter__(self) -> "GatewayServer":
         return self.start()
@@ -318,7 +312,7 @@ class GatewayServer:
 
     @property
     def stats(self) -> dict:
-        """A copy of the lifetime counters (driver-maintained)."""
+        """A copy of the lifetime counters (kept by the loop thread)."""
         return dict(self._stats)
 
     def active_requests(self) -> int:
@@ -336,145 +330,100 @@ class GatewayServer:
     async def _main(self, ready: threading.Event) -> None:
         import asyncio
 
-        self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
         try:
             server = await asyncio.start_server(
                 self._handle_client, self.host, self._requested_port
             )
-        except OSError as exc:
-            self._startup_error = exc
+            self.port = server.sockets[0].getsockname()[1]
+            self._service()
             ready.set()
-            return
-        self.port = server.sockets[0].getsockname()[1]
-        ready.set()
-        async with server:
-            await self._stopped.wait()
+            async with server:
+                await self._stopped.wait()
+                # Closing the clients ends their handlers; on Python
+                # 3.12+ the server's close also waits for them.
+                for conn in list(self._conns.values()):
+                    conn.writer.close()
+        finally:
+            # The engine's only caller tears it down: unwatch the pipes
+            # before the engine closes them.
+            self._watch([])
+            self.engine.shutdown()
 
     async def _handle_client(self, reader, writer) -> None:
         import asyncio
 
-        conn = _Conn(next(self._conn_ids), writer, asyncio.Queue())
-        self._commands.put(("connect", conn))
-        writer_task = asyncio.get_running_loop().create_task(
-            self._write_frames(conn)
-        )
+        conn = _Conn(next(self._conn_ids), writer)
+        self._conns[conn.id] = conn
+        self._stats["connections"] += 1
         try:
             while True:
-                frame = await _read_frame_async(reader)
-                self._commands.put(("frame", conn, frame))
-        except (asyncio.IncompleteReadError, ConnectionError, OSError,
-                ValueError):
-            # EOF, reset, oversize or malformed frame: the connection
-            # is over either way; the driver cancels its jobs.
-            pass
-        finally:
-            self._commands.put(("disconnect", conn))
-            # The driver answers the disconnect by posting the outbox
-            # sentinel, which ends the writer task and closes the
-            # transport.  During server teardown the loop shutdown
-            # cancels the writer instead — that cancellation is the
-            # expected end of this handler, not an error to log.
-            try:
-                await writer_task
-            except asyncio.CancelledError:
-                pass
-
-    async def _write_frames(self, conn: _Conn) -> None:
-        try:
-            while True:
-                frame = await conn.outbox.get()
-                if frame is None:
+                try:
+                    frame = await _read_frame_async(reader)
+                except (asyncio.IncompleteReadError, ConnectionError,
+                        OSError, ValueError):
+                    # EOF, reset, oversize or malformed frame: the
+                    # connection is over either way.
                     break
-                conn.writer.write(encode_frame(frame))
-                await conn.writer.drain()
-        except (ConnectionError, OSError):
-            pass
+                self._handle_frame(conn, frame)
+                self._service()
         finally:
-            try:
-                conn.writer.close()
-                await conn.writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            self._handle_disconnect(conn)
 
     def _send(self, conn: _Conn, frame: dict) -> None:
-        """Queue a frame for a connection, from the driver thread."""
-        if conn.closed or self._loop is None:
-            return
-        try:
-            self._loop.call_soon_threadsafe(conn.outbox.put_nowait, frame)
-        except RuntimeError:  # pragma: no cover - loop already closed
-            pass
+        """Write a frame to a connection's transport, without waiting;
+        frames for a closed connection are dropped."""
+        if not conn.writer.is_closing():
+            conn.writer.write(encode_frame(frame))
 
-    def _close_outbox(self, conn: _Conn) -> None:
-        if self._loop is None:
-            return
-        try:
-            self._loop.call_soon_threadsafe(conn.outbox.put_nowait, None)
-        except RuntimeError:  # pragma: no cover - loop already closed
-            pass
+    # -- the service step ----------------------------------------------------
 
-    def _signal_loop_stop(self) -> None:
-        if self._loop is None or self._stopped is None:
-            return
-        try:
-            self._loop.call_soon_threadsafe(self._stopped.set)
-        except RuntimeError:  # pragma: no cover - loop already closed
-            pass
+    def _service(self) -> None:
+        """One non-blocking step on the loop thread.
 
-    # -- the driver thread ---------------------------------------------------
-
-    def _drive(self) -> None:
-        """The engine's single caller: commands in, frames out.
-
-        Alternates between draining the command queue (submits,
-        cancels, disconnects from the event loop) and pumping the
-        engine with a small timeout so completions stream out while
-        new commands still land within tens of milliseconds — the
-        latency floor interactive admission rides on.
+        Runs after every client frame, whenever a worker pipe turns
+        readable and at the heartbeat deadline: pump the engine,
+        stream fresh completions, then re-sync the watched pipes and
+        the timer with the live workers — a dead or recycled worker's
+        pipe was just replaced inside the pump.
         """
-        try:
-            while True:
-                active = any(
-                    conn.requests for conn in self._conns.values()
-                )
-                try:
-                    command = self._commands.get(
-                        timeout=0.02 if active else 0.2
-                    )
-                except queue.Empty:
-                    command = None
-                while command is not None:
-                    if command[0] == "stop":
-                        return
-                    self._handle_command(command)
-                    try:
-                        command = self._commands.get_nowait()
-                    except queue.Empty:
-                        command = None
-                if any(conn.requests for conn in self._conns.values()):
-                    self.engine.pump(timeout=0.02)
-                    self._advance()
-        finally:
-            try:
-                self.engine.shutdown()
-            finally:
-                self._signal_loop_stop()
+        self.engine.pump()
+        # Frames go out once _advance has returned and released the
+        # finished jobs and their reports: encoding a whole-corpus
+        # result frame then does not hold them in memory as well.
+        for conn, frame in self._advance():
+            self._send(conn, frame)
+        self._watch(self.engine.channels())
 
-    def _handle_command(self, command: tuple) -> None:
-        kind = command[0]
-        if kind == "connect":
-            conn = command[1]
-            self._conns[conn.id] = conn
-            self._stats["connections"] += 1
-        elif kind == "frame":
-            _, conn, payload = command
-            if conn.id in self._conns:
-                self._handle_frame(conn, payload)
-        elif kind == "disconnect":
-            conn = command[1]
-            if conn.id in self._conns:
-                self._handle_disconnect(conn)
+    def _watch(self, channels: list) -> None:
+        """Watch exactly ``channels`` and arm the deadline timer.
+
+        The loop watches a duplicate of each pipe's fd, owned here:
+        the engine closes a replaced worker's pipe inside ``pump()``,
+        and an fd closed while still registered would leave the
+        selector watching a number the next pipe may reuse at once —
+        or, when a forked sibling still holds the pipe, a dead
+        worker's EOF that wakes the loop forever.
+        """
+        for conn in [c for c in self._watched if c not in channels]:
+            fd = self._watched.pop(conn)
+            self._loop.remove_reader(fd)
+            os.close(fd)
+        for conn in channels:
+            if conn not in self._watched:
+                fd = os.dup(conn.fileno())
+                self._loop.add_reader(fd, self._service)
+                self._watched[conn] = fd
+        if self._timer is not None:
+            self._timer.cancel()
+        timeout = self.engine.poll_timeout() if channels else None
+        self._timer = (
+            None if timeout is None
+            else self._loop.call_later(timeout, self._service)
+        )
+
+    # -- requests ------------------------------------------------------------
 
     def _handle_frame(self, conn: _Conn, payload: dict) -> None:
         op = payload.get("op")
@@ -497,10 +446,11 @@ class GatewayServer:
             })
 
     def _fail_request(self, conn: _Conn, client_id, message: str) -> None:
+        self._send(conn, self._failed(client_id, message))
+
+    def _failed(self, client_id, message: str) -> dict:
         self._stats["failed"] += 1
-        self._send(conn, {
-            "type": "failed", "id": client_id, "error": message,
-        })
+        return {"type": "failed", "id": client_id, "error": message}
 
     def _handle_submit(self, conn: _Conn, payload: dict) -> None:
         client_id = payload.get("id")
@@ -597,7 +547,7 @@ class GatewayServer:
         })
 
     def _handle_disconnect(self, conn: _Conn) -> None:
-        conn.closed = True
+        conn.writer.close()
         self._stats["disconnects"] += 1
         for request in conn.requests.values():
             # The consumer is gone: cancel engine-side so queued units
@@ -607,7 +557,6 @@ class GatewayServer:
             self._stats["disconnect_cancelled"] += 1
         conn.requests.clear()
         self._conns.pop(conn.id, None)
-        self._close_outbox(conn)
 
     def _conn_pending(self, conn: _Conn) -> int:
         return sum(
@@ -626,8 +575,10 @@ class GatewayServer:
             min(10.0, max(0.05, pending_units * self._unit_seconds)), 3
         )
 
-    def _advance(self) -> None:
-        """Stream fresh completions and close finished requests."""
+    def _advance(self) -> list:
+        """``(conn, frame)`` pairs that stream fresh completions and
+        close finished requests, in send order."""
+        frames = []
         for conn in list(self._conns.values()):
             for client_id, request in list(conn.requests.items()):
                 job = request.job
@@ -636,29 +587,29 @@ class GatewayServer:
                 except JobCancelled:
                     conn.requests.pop(client_id, None)
                     self._stats["cancelled"] += 1
-                    self._send(conn, {
+                    frames.append((conn, {
                         "type": "cancelled", "id": client_id,
                         "drained": 0,
-                    })
+                    }))
                     continue
                 except RuntimeError as exc:
                     conn.requests.pop(client_id, None)
-                    self._fail_request(conn, client_id, str(exc))
+                    frames.append((conn, self._failed(client_id, str(exc))))
                     continue
                 for digest in fresh:
                     self._stats["digests"] += 1
-                    self._send(conn, {
+                    frames.append((conn, {
                         "type": "digest",
                         "id": client_id,
                         "program": program_to_json(digest),
-                    })
+                    }))
                 if not job.done:
                     continue
                 try:
                     report = job.result()
                 except (RuntimeError, ValueError) as exc:
                     conn.requests.pop(client_id, None)
-                    self._fail_request(conn, client_id, str(exc))
+                    frames.append((conn, self._failed(client_id, str(exc))))
                     continue
                 elapsed = time.monotonic() - request.started
                 per_unit = elapsed / max(1, request.units)
@@ -667,11 +618,12 @@ class GatewayServer:
                 )
                 conn.requests.pop(client_id, None)
                 self._stats["completed"] += 1
-                self._send(conn, {
+                frames.append((conn, {
                     "type": "result",
                     "id": client_id,
                     "report": report_to_json(report),
-                })
+                }))
+        return frames
 
 
 class GatewayRequest:

@@ -675,10 +675,11 @@ class ServingEngine:
 
         Pending jobs are failed (and the drain flag raised) *before*
         the worker joins below: a consumer blocked in
-        ``stream()``/``result()`` on another thread wakes and raises
-        within one poll timeout, instead of waiting out the joins —
-        or worse, condemning the deliberately-exiting workers as dead
-        and respawning them mid-teardown.
+        ``stream()``/``result()`` on another thread wakes as soon as
+        the exiting workers close their pipes and raises, instead of
+        waiting out the joins — or worse, condemning the
+        deliberately-exiting workers as dead and respawning them
+        mid-teardown.
         """
         if not self.running:
             return
@@ -909,48 +910,64 @@ class ServingEngine:
                                                cls))
                     break
 
-    def _poll_timeout(self) -> float:
-        return max(0.05, min(1.0, self.options.heartbeat_timeout / 4.0))
+    def channels(self) -> list:
+        """The live workers' result pipes, for drivers that wait on
+        them in their own event loop (the socket gateway).
 
-    def pump(self, timeout: float | None = None) -> None:
-        """One public supervision step, for external drivers.
-
-        The socket gateway (and any other driver that multiplexes many
-        consumers over one engine) calls this in its own service loop
-        and collects completions via :meth:`ServingJob.take_completed`
-        instead of blocking in ``stream()``.  ``timeout`` bounds the
-        blocking wait on the worker result pipes (None = the engine's
-        heartbeat-derived default); drivers that must stay responsive
-        to other traffic pass something small.
+        Data or EOF on any of them means :meth:`pump` has work.  A
+        dead or recycled worker's pipe is closed and replaced inside
+        :meth:`pump`, so re-read this after every pump.
         """
-        self._pump(timeout)
+        return [handle.conn for handle in self._workers.values()]
 
-    def _pump(self, timeout: float | None = None) -> None:
-        """One supervision step: reap results, check liveness, dispatch.
+    def poll_timeout(self) -> float | None:
+        """Seconds until the earliest worker heartbeat deadline.
 
-        Already-delivered messages are drained first — a worker that
+        The only timed wait in the supervisor: results, heartbeats and
+        deaths all arrive on the worker pipes, and only a hung worker
+        — alive but silent — needs a clock to be noticed.  None when
+        no worker runs.
+        """
+        if not self._workers:
+            return None
+        last_beat = min(h.last_beat for h in self._workers.values())
+        deadline = last_beat + self.options.heartbeat_timeout
+        return max(0.0, deadline - time.monotonic())
+
+    def pump(self) -> int:
+        """One non-blocking supervision step: reap, check, dispatch.
+
+        Messages already on the pipes are read first — a worker that
         completed a unit and was killed a moment later gets credit for
         the work instead of a pointless resubmission.  Then liveness:
         a worker whose process died or whose heartbeat went stale is
         replaced and its in-flight unit requeued (front of its class)
         or, past ``max_unit_retries``, recorded as a
-        :class:`UnitFailure` on its job.  Finally a bounded blocking
-        wait over every worker's result pipe so the consumer's
-        ``stream()`` loop makes progress without spinning.
+        :class:`UnitFailure` on its job.  Then the dispatch windows
+        refill.  It never waits: external drivers (the socket gateway)
+        call it when a frame arrives, when a worker pipe turns
+        readable and at the :meth:`poll_timeout` deadline, and collect
+        completions via :meth:`ServingJob.take_completed`.  Returns
+        the messages read.
         """
         if not self.running or self._draining:
-            return
+            return 0
         processed = self._poll_channels(0.0)
         self._check_liveness()
         self._dispatch()
-        if processed:
+        return processed
+
+    def _pump(self) -> None:
+        """``stream()``'s step: :meth:`pump`, then — when it read
+        nothing — one blocking wait on every worker pipe until a
+        message, an EOF or the next heartbeat deadline, so the
+        consumer makes progress without spinning."""
+        if self.pump() or not self.running or self._draining:
             return
-        self._poll_channels(
-            self._poll_timeout() if timeout is None else timeout
-        )
+        self._poll_channels(self.poll_timeout())
         self._dispatch()
 
-    def _poll_channels(self, timeout: float) -> int:
+    def _poll_channels(self, timeout: float | None) -> int:
         """Multiplex every worker's result pipe; returns messages read.
 
         ``multiprocessing.connection.wait`` marks a pipe ready on data
