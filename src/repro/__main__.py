@@ -42,13 +42,12 @@ Commands
     identical to the serial one); ``--extended`` also runs the §8
     extension idioms; ``--granularity function`` ships
     ``(program, function)`` units so one giant module cannot serialize
-    the run; ``--weights-from REPORT.json`` orders work by a
-    previous run's measured costs; ``--save-report`` records this
-    run's digests (costs included) for later ``--weights-from`` use;
-    ``--save-feedback``/``--feedback-from`` do the same for the
-    corpus-wide **solver feedback store** (per-spec search statistics
-    that re-order every spec's label enumeration).  A report carrying
-    ``UnitFailure`` records exits with status 3 unless
+    the run; work units are served heaviest-first by a static size
+    proxy; ``--save-report`` records this run's digests (costs
+    included); ``--save-feedback``/``--feedback-from`` record and
+    replay the corpus-wide **solver feedback store** (per-spec search
+    statistics that re-order every spec's label enumeration).  A
+    report carrying ``UnitFailure`` records exits with status 3 unless
     ``--allow-failures``.
 
 ``serve``
@@ -363,7 +362,6 @@ def _cmd_corpus(args) -> int:
     report = detect_corpus(jobs=args.jobs, baselines=True,
                            extended=args.extended,
                            granularity=args.granularity,
-                           weights_from=args.weights_from,
                            spec_orders=feedback_orders,
                            explore=args.explore,
                            explore_seed=args.explore_seed)
@@ -547,7 +545,6 @@ def _cmd_serve(args) -> int:
         extended=args.extended,
         baselines=args.baselines,
         granularity=args.granularity,
-        weights_from=args.weights_from,
         max_tasks_per_worker=args.max_tasks_per_worker,
         feedback_from=args.feedback_from,
         feedback_refresh=args.self_tune,
@@ -888,14 +885,9 @@ def main(argv: list[str] | None = None) -> int:
                             choices=("program", "function"),
                             default="program",
                             help="work-unit granularity")
-    corpus_cmd.add_argument("--weights-from", metavar="REPORT.json",
-                            default=None,
-                            help="order work by a previous run's "
-                                 "measured costs")
     corpus_cmd.add_argument("--save-report", metavar="REPORT.json",
                             default=None,
-                            help="save this run's digests for later "
-                                 "--weights-from use")
+                            help="save this run's digests")
     corpus_cmd.add_argument("--feedback-from", metavar="FEEDBACK.json",
                             default=None,
                             help="re-order idiom specs from a recorded "
@@ -976,9 +968,6 @@ def main(argv: list[str] | None = None) -> int:
                            metavar="N",
                            help="cancel the first request after N "
                                 "streamed digests (cancellation smoke)")
-    serve_cmd.add_argument("--weights-from", metavar="REPORT.json",
-                           default=None,
-                           help="serve heaviest measured units first")
     serve_cmd.add_argument("--save-report", metavar="REPORT.json",
                            default=None,
                            help="save the last request's digests")

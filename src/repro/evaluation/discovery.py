@@ -95,7 +95,6 @@ def run_discovery(
     jobs: int = 1,
     report: CorpusReport | None = None,
     granularity: str = "program",
-    weights_from: str | None = None,
     feedback_from: str | None = None,
 ) -> DiscoveryResult:
     """Reproduce one panel of Figure 8.
@@ -116,8 +115,7 @@ def run_discovery(
     if report is None:
         report = detect_corpus(
             jobs=jobs, baselines=True, suites=(suite_name,),
-            granularity=granularity, weights_from=weights_from,
-            feedback_from=feedback_from,
+            granularity=granularity, feedback_from=feedback_from,
         )
     result = DiscoveryResult(suite_name)
     failed_keys = {
@@ -163,13 +161,11 @@ def run_discovery(
 def run_all_discovery(
     jobs: int = 1,
     granularity: str = "program",
-    weights_from: str | None = None,
     feedback_from: str | None = None,
 ) -> dict[str, DiscoveryResult]:
     """All three Figure 8 panels from one batched pipeline run."""
     report = detect_corpus(jobs=jobs, baselines=True,
                            granularity=granularity,
-                           weights_from=weights_from,
                            feedback_from=feedback_from)
     return {
         name: run_discovery(name, report=report)

@@ -7,8 +7,8 @@ staged, batched detection engine that
 
 * **plans** corpus work as units — whole programs, or ``(program,
   function)`` units so one giant module cannot serialize a run — and
-  serves them heaviest-first, weighted by a static proxy or by a
-  previous run's **measured costs** (:mod:`repro.pipeline.shard`),
+  serves them heaviest-first by a static size proxy
+  (:mod:`repro.pipeline.shard`),
 * runs each unit through the **staged** worker — compile (cached per
   worker) → detect (shared solver caches) → extension idioms →
   baseline models (:mod:`repro.pipeline.worker`),
@@ -103,7 +103,6 @@ from .serving import (
 from .shard import (
     WorkUnit,
     lpt_order,
-    measured_weights,
     plan_units,
     unit_weight,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "merge_unit_digests",
     "lpt_order",
     "plan_units",
-    "measured_weights",
     "unit_weight",
     "WorkUnit",
     "run_unit_shard",

@@ -463,9 +463,8 @@ def report_to_json(report: CorpusReport) -> dict:
 
     The inverse of :func:`report_from_json`; round-tripping preserves
     the fingerprint (and the timing metadata the fingerprint excludes),
-    which is what lets a previous run's recorded costs feed
-    :func:`~repro.pipeline.shard.measured_weights` across process —
-    and machine — boundaries.
+    so a saved run (``--save-report``) can be reloaded and compared
+    across process — and machine — boundaries.
     """
     return {
         "jobs": report.jobs,
@@ -565,7 +564,7 @@ def report_from_json(data: dict) -> CorpusReport:
 
 
 def load_report(path: str) -> CorpusReport:
-    """Read a :func:`report_to_json` file (``--weights-from``)."""
+    """Read a :func:`report_to_json` file (``--save-report``)."""
     import json
 
     with open(path) as handle:

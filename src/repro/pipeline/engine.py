@@ -9,30 +9,29 @@ and reassembles canonical corpus order with :func:`merge_unit_digests`;
 ``jobs>1`` runs one short-lived
 :class:`~repro.pipeline.serving.ServingEngine` session, so a parallel
 sweep has the serving engine's dynamic pull, checked per-program
-assembly and resubmission of units lost to dead workers.  Either way the worker code is the same, so a parallel (or
-function-sharded) run's :class:`~repro.pipeline.digest.CorpusReport`
-is identical (same fingerprint) to the serial program-granularity
-one, only faster.
+assembly and resubmission of units lost to dead workers.  Either
+way the worker code is the same, so a parallel (or function-sharded)
+run's :class:`~repro.pipeline.digest.CorpusReport` is identical (same
+fingerprint) to the serial program-granularity one, only faster.
 
 This module also holds the parent-side pieces both drivers share: the
-planned key set, feedback resolution and the weight source.
+planned key set and feedback resolution.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .digest import (
     CorpusReport,
     ProgramDigest,
     UnitDigest,
     assemble_program,
-    load_report,
 )
 from .options import PipelineOptions
-from .shard import measured_weights, plan_units
+from .shard import plan_units
 from .worker import run_unit_shard
 
 Key = tuple[str, str]
@@ -124,25 +123,6 @@ def resolve_feedback_options(options: PipelineOptions) -> PipelineOptions:
     return resolve_feedback_with_store(options)[0]
 
 
-def resolve_weight_source(
-    options: PipelineOptions,
-    weights: "CorpusReport | Callable | None" = None,
-) -> Callable | None:
-    """The unit-weight callable for a run, or None for the static proxy.
-
-    ``weights`` may be a previous run's :class:`CorpusReport` (its
-    measured costs are used directly) or an arbitrary callable;
-    otherwise ``options.weights_from`` names a report JSON on disk.
-    """
-    if weights is not None:
-        if isinstance(weights, CorpusReport):
-            return measured_weights(weights)
-        return weights
-    if options.weights_from:
-        return measured_weights(load_report(options.weights_from))
-    return None
-
-
 def detect_corpus(
     jobs: int = 1,
     extended: bool = False,
@@ -152,8 +132,6 @@ def detect_corpus(
     start_method: str | None = None,
     keys: Sequence[Key] | None = None,
     granularity: str = "program",
-    weights_from: str | None = None,
-    weights: "CorpusReport | Callable | None" = None,
     feedback_from: str | None = None,
     spec_orders=None,
     explore: float = 0.0,
@@ -162,14 +140,13 @@ def detect_corpus(
     """Detect reductions across the corpus, optionally in parallel.
 
     ``keys`` restricts the program set (default: the whole corpus, or
-    the ``suites`` given).  With ``jobs>1`` and more than one unit, the
-    units run on a :class:`~repro.pipeline.serving.ServingEngine` of
+    the ``suites`` given); a repeated key runs once, at its first
+    position.  With ``jobs>1`` and more than one unit, the units run
+    on a :class:`~repro.pipeline.serving.ServingEngine` of
     ``min(jobs, units)`` workers, started for this call and shut down
     before it returns; otherwise they run in-process.  On the engine,
     units lost to dead workers are resubmitted and, past the retry
     budget, recorded on the report's ``failures``.
-    ``weights`` overrides the cost source of the heaviest-first
-    service order (see :func:`resolve_weight_source`).
 
     ``feedback_from`` re-orders every measured idiom spec from a
     recorded solver feedback artifact
@@ -195,18 +172,14 @@ def detect_corpus(
         spec_files=tuple(spec_files),
         start_method=start_method,
         granularity=granularity,
-        weights_from=weights_from,
         feedback_from=feedback_from,
         spec_orders=spec_orders,
         explore=explore,
         explore_seed=explore_seed,
     )
-    keys = list(keys) if keys is not None else planned_keys(options)
+    keys = planned_keys(options) if keys is None else list(dict.fromkeys(keys))
     started = time.perf_counter()
     units = plan_units(keys, options.granularity)
-    # Resolved on every path, so a bad weights file fails even when
-    # nothing is scheduled.
-    weight = resolve_weight_source(options, weights)
     workers = min(options.jobs, len(units))
     if workers <= 1:
         options = resolve_feedback_options(options)
@@ -219,7 +192,7 @@ def detect_corpus(
 
         engine = ServingEngine(dataclasses.replace(options, jobs=workers))
         try:
-            served = engine.submit(keys, weights=weight).result()
+            served = engine.submit(keys).result()
         finally:
             engine.shutdown()
         programs, failures = served.programs, served.failures

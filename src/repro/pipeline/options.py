@@ -34,12 +34,6 @@ class PipelineOptions:
     #: module cannot serialize a run.  Reports are fingerprint-identical
     #: either way.
     granularity: str = "program"
-    #: Path to a previous run's report JSON
-    #: (:func:`~repro.pipeline.digest.save_report`); its recorded
-    #: ``stage_seconds``/``constraint_evals`` set the heaviest-first
-    #: service order of parallel runs (measured-cost balancing) instead
-    #: of the static source-length proxy.
-    weights_from: str | None = None
     #: Path to a solver feedback artifact
     #: (:func:`~repro.pipeline.feedback.save_feedback`); the recorded
     #: per-spec statistics re-order every measured idiom spec via

@@ -71,7 +71,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_channels
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .digest import (
     CorpusReport,
@@ -80,11 +80,7 @@ from .digest import (
     UnitFailure,
     assemble_program,
 )
-from .engine import (
-    planned_keys,
-    resolve_feedback_with_store,
-    resolve_weight_source,
-)
+from .engine import planned_keys, resolve_feedback_with_store
 from .feedback import FeedbackStore, canonical_orders
 from .options import PipelineOptions
 from .shard import WorkUnit, lpt_order, plan_units
@@ -214,15 +210,18 @@ def serve_worker(worker_id: int, task_queue, result_conn,
     """One persistent worker process.
 
     Pulls ``(job_id, unit, spec_orders)`` tasks from its **own** queue
-    until the ``None`` sentinel (or the ``stop`` event is set —
-    draining a queue from the parent races the queue's feeder thread,
-    so shutdown needs a signal workers check themselves), keeping the
-    idiom registry and compiled modules warm across tasks — and across
-    jobs.  ``spec_orders`` is the job's feedback-derived label-order
-    mapping (None = the options-level orders the worker booted with):
-    self-contained per task, so a job submitted before a feedback
-    refresh keeps its orders even while newer jobs run reordered — the
-    per-job determinism the fingerprint contract needs.  Results
+    until the ``None`` sentinel (or the shared ``stop`` flag is
+    nonzero — draining a queue from the parent races the queue's
+    feeder thread, so shutdown needs a signal workers check
+    themselves; the flag is lock-free, so a worker killed mid-check
+    cannot leave a lock held that every other worker then blocks on),
+    keeping the idiom registry and compiled modules warm across tasks
+    — and across jobs.  ``spec_orders`` is the job's feedback-derived
+    label-order mapping (None = the options-level orders the worker
+    booted with): self-contained per task, so a job submitted before a
+    feedback refresh keeps its orders even while newer jobs run
+    reordered — the per-job determinism the fingerprint contract
+    needs.  Results
     and heartbeats go out on the worker's **private result pipe**
     (``result_conn``): one writer per channel, so a worker killed
     mid-send can corrupt at most its own pipe — never a lock the
@@ -252,7 +251,7 @@ def serve_worker(worker_id: int, task_queue, result_conn,
                 0.0 if last_done is None
                 else time.monotonic() - last_done
             )
-            if task is None or (stop is not None and stop.is_set()):
+            if task is None or (stop is not None and stop.value):
                 break
             job_id, unit, orders = task
             registry = registries.get(orders)
@@ -561,12 +560,6 @@ class ServingEngine:
         #: prefetch window exists to shrink.
         self.idle_seconds = 0.0
         self.idle_samples = 0
-        #: The options' weight source, resolved once for the engine's
-        #: lifetime — ``weights_from`` names an immutable report file,
-        #: and a persistent engine must not re-read and re-verify it
-        #: per request.
-        self._weight_source = None
-        self._weight_source_resolved = False
         #: Solver feedback state.  ``_feedback`` is the live store
         #: (seeded from ``feedback_from``, grown from completed units);
         #: ``_feedback_accum`` holds statistics accumulated since the
@@ -601,7 +594,7 @@ class ServingEngine:
                 else "spawn"
             )
         self._context = multiprocessing.get_context(method)
-        self._stop = self._context.Event()
+        self._stop = self._context.RawValue("b", 0)
         self._scheduler = PriorityScheduler()
         self.resolve_feedback()
         for _ in range(self.workers):
@@ -666,9 +659,9 @@ class ServingEngine:
     def shutdown(self) -> None:
         """Stop the workers (idempotent).
 
-        In-flight jobs are abandoned: the stop event makes each worker
+        In-flight jobs are abandoned: the stop flag makes each worker
         exit at its next task (draining a queue from the parent would
-        race the feeder thread, so workers check the event themselves),
+        race the feeder thread, so workers check the flag themselves),
         and any job still pending is marked failed — a later
         ``stream()``/``result()`` on it raises instead of waiting on
         queues that no longer exist.
@@ -684,7 +677,7 @@ class ServingEngine:
         if not self.running:
             return
         self._draining = True
-        self._stop.set()
+        self._stop.value = 1
         for job in list(self._jobs.values()):
             if not job.done and not job.cancelled:
                 job._errors.append("engine shut down with the job pending")
@@ -727,19 +720,18 @@ class ServingEngine:
     def submit(
         self,
         keys: Sequence[Key] | None = None,
-        weights: "CorpusReport | Callable | None" = None,
         priority: "JobClass | str" = JobClass.BATCH,
     ) -> ServingJob:
         """Enqueue a request; returns immediately.
 
-        Units are planned at the options' granularity, cost-ordered by
-        the weight source (measured weights or the static proxy) and
-        enter the priority scheduler heaviest-first within the job, so
-        the pool drains each job LPT-style; across jobs the scheduler
-        interleaves by class weight.  Planning happens *before* any worker is
-        spawned, and a submit that fails after auto-starting a
-        previously idle engine tears the pool back down — a raising
-        ``submit`` never leaks worker processes.
+        Units are planned at the options' granularity and enter the
+        priority scheduler heaviest-first within the job
+        (:func:`~repro.pipeline.shard.lpt_order`), so the pool drains
+        each job LPT-style; across jobs the scheduler interleaves by
+        class weight.  Planning happens *before* any worker is spawned,
+        and a submit that fails after auto-starting a previously idle
+        engine tears the pool back down — a raising ``submit`` never
+        leaks worker processes.
         """
         if isinstance(priority, str):
             priority = JobClass(priority)
@@ -753,16 +745,8 @@ class ServingEngine:
             self._refresh_feedback()
         job = None
         try:
-            options = self.options
-            units = plan_units(keys, options.granularity)
-            if weights is not None:
-                weight = resolve_weight_source(options, weights)
-            else:
-                if not self._weight_source_resolved:
-                    self._weight_source = resolve_weight_source(options)
-                    self._weight_source_resolved = True
-                weight = self._weight_source
-            ordered = lpt_order(units, weight)
+            units = plan_units(keys, self.options.granularity)
+            ordered = lpt_order(units)
             if not self.running:
                 self.start()
             job = ServingJob(self, next(self._job_ids), keys, len(units),
@@ -790,12 +774,10 @@ class ServingEngine:
     def serve(
         self,
         keys: Sequence[Key] | None = None,
-        weights: "CorpusReport | Callable | None" = None,
         priority: "JobClass | str" = JobClass.BATCH,
     ) -> CorpusReport:
         """Submit and wait: the synchronous convenience wrapper."""
-        return self.submit(keys, weights=weights,
-                           priority=priority).result()
+        return self.submit(keys, priority=priority).result()
 
     # -- solver feedback -----------------------------------------------------
 

@@ -21,7 +21,6 @@ from repro.pipeline import (
     digest_extensions,
     digest_report,
     lpt_order,
-    measured_weights,
     merge_unit_digests,
     plan_units,
     report_from_json,
@@ -42,22 +41,43 @@ def test_corpus_keys_cover_the_40_programs():
     assert len(set(KEYS)) == 40
 
 
-def test_lpt_order_evaluates_weight_once_per_key():
-    """The weight source may load programs or walk digests, so
-    ``lpt_order`` must memoize it — one call per key per invocation,
-    not one per sort comparison."""
+def test_lpt_order_evaluates_weight_once_per_key(monkeypatch):
+    """``unit_weight`` loads and may compile programs, so
+    ``lpt_order`` must call it once per unit per invocation, not once
+    per sort comparison.  Heaviest first; equal weights (many names
+    share a length) keep their input order."""
+    import repro.pipeline.shard as shard_module
+
     calls = []
 
-    def counting_weight(key):
-        calls.append(key)
-        return len(key[0])
+    def counting_weight(unit):
+        calls.append(unit.key)
+        return float(len(unit.name))
 
-    ordered = lpt_order(KEYS, weight=counting_weight)
+    monkeypatch.setattr(shard_module, "unit_weight", counting_weight)
+    units = plan_units(KEYS, "program")
+    ordered = lpt_order(units)
     assert sorted(calls) == sorted(KEYS)
-    assert sorted(ordered) == sorted(KEYS)
+    assert ordered == [
+        units[i] for i in sorted(
+            range(len(units)), key=lambda i: (-len(units[i].name), i)
+        )
+    ]
 
 
 # -- work units and weights ---------------------------------------------------
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_duplicate_corpus_keys_run_once_in_first_occurrence_order(jobs):
+    """A repeated key is detected once, at its first position, whether
+    the run stays in-process or goes to a serving session."""
+    keys = [KEYS[1], KEYS[0], KEYS[1], KEYS[2], KEYS[0]]
+    report = detect_corpus(jobs=jobs, keys=keys)
+    assert [d.key for d in report.programs] == [KEYS[1], KEYS[0], KEYS[2]]
+    assert report.programs == detect_corpus(
+        jobs=1, keys=[KEYS[1], KEYS[0], KEYS[2]]
+    ).programs
 
 
 def test_plan_units_program_granularity_is_one_unit_per_key():
@@ -157,49 +177,6 @@ def test_bounded_module_cache_never_changes_digests():
     ).serve(KEYS[:4])
     assert bounded.programs == serial.programs
     assert bounded.fingerprint() == serial.fingerprint()
-
-
-def test_measured_weights_prefer_recorded_costs():
-    report = detect_corpus(jobs=1, keys=KEYS[:3])
-    weight = measured_weights(report)
-    seconds = sum(sum(p.stage_seconds.values()) for p in report.programs)
-    evals = sum(1 + p.constraint_evals for p in report.programs)
-    for digest in report.programs:
-        assert weight(digest.key) == pytest.approx(
-            sum(digest.stage_seconds.values())
-        )
-        for f in digest.functions:
-            unit = WorkUnit(digest.name, digest.suite, function=f.function)
-            # Function weights are evals rescaled onto the seconds
-            # scale, so program and function units stay commensurable.
-            assert weight(unit) == pytest.approx(
-                (1 + f.constraint_evals) * seconds / evals
-            )
-    # Unseen work is scheduled at the measured mean — deterministic,
-    # commensurable with the warm entries.
-    unseen = weight(("no-such-program", "NAS"))
-    costs = [sum(p.stage_seconds.values()) for p in report.programs]
-    assert unseen == pytest.approx(sum(costs) / len(costs))
-
-
-def test_measured_weights_rescale_untimed_programs():
-    """A program whose digest carries no timings is weighted by its
-    constraint evals rescaled into the seconds scale — not by a raw
-    eval count thousands of times its peers' weights."""
-    report = detect_corpus(jobs=1, keys=KEYS[:3])
-    stripped = report.programs[0]
-    untimed = stripped.__class__(
-        name=stripped.name, suite=stripped.suite,
-        functions=stripped.functions, extended=stripped.extended,
-        icc=stripped.icc, polly_scops=stripped.polly_scops,
-        polly_reductions=stripped.polly_reductions, stage_seconds={},
-    )
-    doctored = report.__class__(
-        programs=(untimed,) + report.programs[1:]
-    )
-    weight = measured_weights(doctored)
-    timed_weights = [weight(p.key) for p in report.programs[1:]]
-    assert weight(untimed.key) < 100 * max(timed_weights)
 
 
 # -- unit digests and assembly ------------------------------------------------

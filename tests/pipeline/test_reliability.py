@@ -28,12 +28,9 @@ from repro.pipeline import (
     UnitFailure,
     WorkUnit,
     detect_corpus,
-    lpt_order,
-    measured_weights,
     report_from_json,
     report_to_json,
 )
-from repro.pipeline.shard import default_weight
 from repro.workloads import corpus_keys
 
 KEYS = corpus_keys()
@@ -254,6 +251,39 @@ def test_killing_every_worker_still_completes_the_job():
         assert engine.worker_deaths >= 2
     assert report.failures == ()
     assert report.fingerprint() == serial(KEYS[:4]).fingerprint()
+
+
+def _die_holding_the_stop_flag(stop):
+    """Take whatever lock guards the engine's shared stop flag, then
+    exit without releasing it: a worker killed inside its stop check."""
+    for name in ("_cond", "_lock"):
+        lock = getattr(stop, name, None)
+        if lock is not None:
+            lock.acquire()
+    os._exit(0)
+
+
+@pytest.mark.skipif("fork" not in START_METHODS,
+                    reason="the helper process shares the flag via fork")
+def test_a_worker_killed_in_its_stop_check_cannot_wedge_the_pool():
+    """Every worker checks the stop flag after each task.  A lock
+    guarding that flag would stay held forever by a worker killed
+    inside the check, and every other worker would block on it while
+    its heartbeat thread kept it looking alive."""
+    options = PipelineOptions(jobs=1, start_method="fork")
+    with ServingEngine(options) as engine:
+        helper = engine._context.Process(target=_die_holding_the_stop_flag,
+                                         args=(engine._stop,))
+        helper.start()
+        helper.join()
+        job = engine.submit(KEYS[:1])
+        deadline = time.monotonic() + 60
+        while not job.done and time.monotonic() < deadline:
+            engine.pump()
+            time.sleep(0.01)
+        assert job.done
+        report = job.result()
+    assert report.fingerprint() == serial(KEYS[:1]).fingerprint()
 
 
 @settings(max_examples=3, deadline=None)
@@ -499,126 +529,21 @@ def test_failing_submit_keeps_a_busy_engine_running():
     assert report.fingerprint() == serial(KEYS[:3]).fingerprint()
 
 
-# -- cold-start-aware measured weights ----------------------------------------
-
-
-def _assert_proportional_to_proxy(weight, keys):
-    ratios = [weight(k) / default_weight(k) for k in keys]
-    for ratio in ratios[1:]:
-        assert ratio == pytest.approx(ratios[0])
-
-
-def test_pure_cold_start_shards_exactly_like_the_static_proxy():
-    """ROADMAP's cold-start item, degenerate case: a measured report
-    covering *zero* of the submitted programs yields weights
-    proportional to the static proxy — and the LPT service order is
-    invariant under positive scaling, so the order is identical."""
-    report = detect_corpus(jobs=1, keys=KEYS[:6])
-    cold_keys = [k for k in KEYS if k not in set(KEYS[:6])]
-    weight = measured_weights(report)
-    _assert_proportional_to_proxy(weight, cold_keys)
-    assert lpt_order(cold_keys, weight) == lpt_order(cold_keys)
-
-
-@settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_cold_start_property_disjoint_reports_reproduce_proxy_shards(data):
-    """Property form over random disjoint splits."""
-    seen = data.draw(
-        st.lists(st.sampled_from(KEYS), min_size=1, max_size=6,
-                 unique=True),
-        label="seen",
-    )
-    cold = [k for k in KEYS if k not in set(seen)][:10]
-    report = detect_corpus(jobs=1, keys=sorted(seen, key=KEYS.index))
-    weight = measured_weights(report)
-    _assert_proportional_to_proxy(weight, cold)
-    assert lpt_order(cold, weight) == lpt_order(cold)
-
-
-def test_unseen_weights_scale_with_the_static_proxy():
-    """Warm entries keep their measured cost; unseen programs are
-    differentiated by their proxy on the measured scale — a big cold
-    program weighs more than a small one, proportionally."""
-    report = detect_corpus(jobs=1, keys=KEYS[:5])
-    weight = measured_weights(report)
-    cold = [k for k in KEYS if k not in set(KEYS[:5])][:4]
-    weights = {k: weight(k) for k in cold}
-    proxies = {k: default_weight(k) for k in cold}
-    ratios = [weights[k] / proxies[k] for k in cold]
-    for ratio in ratios[1:]:
-        assert ratio == pytest.approx(ratios[0])
-    # Scaled into the measured distribution: the ratio times the mean
-    # proxy of the report's own programs equals the measured mean.
-    seen_costs = [
-        sum(p.stage_seconds.values()) for p in report.programs
-    ]
-    seen_proxies = [default_weight(p.key) for p in report.programs]
-    expected = (sum(seen_costs) / len(seen_costs)) / (
-        sum(seen_proxies) / len(seen_proxies)
-    )
-    assert ratios[0] == pytest.approx(expected)
-
-
 def test_poisoned_proxy_propagates_instead_of_silently_degrading(
         monkeypatch):
-    """Bugfix regression: the measured-weights blend used to swallow
-    *every* exception from the static proxy, so a genuine bug (a
-    compile crash, a corrupted module) silently degraded to the
-    measured mean and unbalanced schedules with no trace.  Only the
-    expected resolution failure (``KeyError``: unknown program or
-    function) may fall back."""
+    """A static proxy that crashes (a compile bug, a corrupted module)
+    fails the run in the parent, before any worker starts — there is
+    no fallback weight that could hide it."""
     import repro.pipeline.shard as shard_module
-
-    report = detect_corpus(jobs=1, keys=KEYS[:3])
-    weight = measured_weights(report)
 
     def poisoned(unit):
         raise RuntimeError("compiler exploded")
 
     monkeypatch.setattr(shard_module, "unit_weight", poisoned)
+    engine = ServingEngine(PipelineOptions(jobs=2))
     with pytest.raises(RuntimeError, match="compiler exploded"):
-        weight(KEYS[5])  # unseen: the blend must consult the proxy
-
-
-def test_expected_resolution_failure_still_falls_back(monkeypatch):
-    """The flip side of the narrowing: a proxy that raises KeyError —
-    the documented unknown-program/function failure — degrades to the
-    measured mean exactly as before."""
-    import repro.pipeline.shard as shard_module
-
-    report = detect_corpus(jobs=1, keys=KEYS[:3])
-    weight = measured_weights(report)
-
-    def unresolvable(unit):
-        raise KeyError("no such program")
-
-    monkeypatch.setattr(shard_module, "unit_weight", unresolvable)
-    costs = [sum(p.stage_seconds.values()) for p in report.programs]
-    assert weight(KEYS[5]) == pytest.approx(sum(costs) / len(costs))
-
-
-def test_unresolvable_unseen_work_falls_back_to_the_measured_mean():
-    report = detect_corpus(jobs=1, keys=KEYS[:3])
-    weight = measured_weights(report)
-    costs = [sum(p.stage_seconds.values()) for p in report.programs]
-    assert weight(("not-in-any-corpus", "NAS")) == pytest.approx(
-        sum(costs) / len(costs)
-    )
-
-
-def test_empty_report_weights_are_the_static_proxy_itself():
-    from repro.pipeline import CorpusReport
-
-    weight = measured_weights(CorpusReport(programs=()))
-    for key in KEYS[:4]:
-        assert weight(key) == default_weight(key)
-
-
-def test_blended_weights_never_change_the_report():
-    """Scheduling policy only: serving a half-cold corpus with blended
-    weights is fingerprint-identical to the serial run."""
-    profile = detect_corpus(jobs=1, keys=KEYS[:4])
-    report = detect_corpus(jobs=3, keys=KEYS[:8], weights=profile,
-                           granularity="function")
-    assert report.fingerprint() == serial(KEYS[:8]).fingerprint()
+        engine.submit(KEYS[:3])
+    assert not engine.running
+    assert engine._workers == {}
+    with pytest.raises(RuntimeError, match="compiler exploded"):
+        detect_corpus(jobs=2, keys=KEYS[:3])

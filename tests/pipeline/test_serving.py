@@ -7,6 +7,7 @@ fingerprint-identical to the serial batch run with the same options.
 """
 
 import multiprocessing
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from repro.pipeline import (
     PipelineOptions,
     ServingEngine,
     detect_corpus,
-    measured_weights,
 )
 from repro.workloads import corpus_keys
 
@@ -45,14 +45,6 @@ def test_function_granularity_reproduces_program_fingerprint():
                                granularity="function")
         assert report.programs == serial.programs
         assert report.fingerprint() == serial.fingerprint()
-
-
-def test_measured_weights_reproduce_the_fingerprint():
-    """Measured-cost sharding changes the schedule, never the report."""
-    serial = serial_report()
-    report = detect_corpus(jobs=3, extended=True, baselines=True,
-                           granularity="function", weights=serial)
-    assert report.fingerprint() == serial.fingerprint()
 
 
 @settings(max_examples=4, deadline=None)
@@ -130,28 +122,33 @@ def test_interleaved_jobs_route_results_by_id():
     assert (report_a.programs + report_b.programs) == serial.programs
 
 
-def test_serving_with_measured_weights_orders_heavy_first():
-    serial = serial_report()
-    options = PipelineOptions(jobs=2, extended=True, baselines=True,
-                              granularity="function")
-    with ServingEngine(options) as engine:
-        report = engine.serve(weights=serial)
-    assert report.fingerprint() == serial.fingerprint()
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the patched worker is inherited through fork")
+def test_failed_unit_raises_on_stream_not_in_the_worker(monkeypatch):
+    """A unit that raises inside a forked worker surfaces as a
+    ``RuntimeError`` on the consumer's stream; the worker survives."""
+    import repro.pipeline.serving as serving_module
 
+    real = serving_module.detect_unit
+    parent = os.getpid()
 
-def test_failed_unit_raises_on_stream_not_in_the_worker():
-    options = PipelineOptions(jobs=2)
+    def failing(unit, *args, **kwargs):
+        if unit.key == KEYS[0] and os.getpid() != parent:
+            raise RuntimeError(f"detector exploded on {unit.name}")
+        return real(unit, *args, **kwargs)
+
+    monkeypatch.setattr(serving_module, "detect_unit", failing)
+    options = PipelineOptions(jobs=2, start_method="fork")
     with ServingEngine(options) as engine:
-        # Constant weights: the parent ships the unit without looking
-        # the program up, so the *worker* hits the failure.
-        job = engine.submit([("no-such-program", "NAS")],
-                            weights=lambda unit: 1.0)
-        with pytest.raises(RuntimeError, match="no-such-program"):
-            job.result()
+        job = engine.submit(KEYS[:1])
+        with pytest.raises(RuntimeError,
+                           match=f"detector exploded on {KEYS[0][0]}"):
+            list(job.stream())
         # The pool survives a failed unit and serves the next request.
-        report = engine.serve(KEYS[:2])
+        report = engine.serve(KEYS[1:3])
+        assert engine.worker_deaths == 0
     assert report.fingerprint() == detect_corpus(
-        jobs=1, keys=KEYS[:2]
+        jobs=1, keys=KEYS[1:3]
     ).fingerprint()
 
 
