@@ -415,6 +415,9 @@ class Opcode(Constraint):
         labels.extend(l for l in self.operand_labels if l is not None)
         self.labels = tuple(dict.fromkeys(labels))
         self.x_label = x
+        #: Opcode → its rank in :attr:`opcodes`; the sort key (with the
+        #: instruction position) of use-list proposals.
+        self._opcode_rank = {op: i for i, op in enumerate(self.opcodes)}
 
     def _instruction(self, assignment) -> Instruction | None:
         x = assignment[self.x_label]
@@ -507,8 +510,44 @@ class Opcode(Constraint):
             self.commutative,
         )
 
+    def _users_of_bound_operand(self, ctx, assignment):
+        """The instructions the opcode scan of :meth:`propose` accepts,
+        found through the use-list of a bound operand, or None.
+
+        Only an instruction of ``ctx``'s function qualifies: it is in
+        the position index, and its users are function-local (a
+        global's users span every function).  The result is deduplicated (``add i,
+        i`` uses ``i`` twice) and ordered as the scan orders it: by
+        opcode rank, then block-order position.
+        """
+        rank = self._opcode_rank
+        if len(rank) != len(self.opcodes):
+            return None  # a repeated opcode: the scan lists matches twice
+        position = ctx.instruction_position
+        for label in self.operand_labels:
+            if label is None or label == self.x_label:
+                continue
+            value = assignment.get(label)
+            if value is None or value not in position:
+                continue
+            found = {}
+            for use in value.uses:
+                user = use.user
+                r = rank.get(user.opcode)
+                if (
+                    r is not None
+                    and user in position
+                    and self._operand_match(user, assignment)
+                ):
+                    found[(r, position[user])] = user
+            return [found[key] for key in sorted(found)]
+        return None
+
     def propose(self, ctx, assignment, label):
         if label == self.x_label:
+            users = self._users_of_bound_operand(ctx, assignment)
+            if users is not None:
+                return users
             candidates: list[Value] = []
             for opcode in self.opcodes:
                 candidates.extend(ctx.instructions_with_opcode(opcode))

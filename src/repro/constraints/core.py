@@ -112,10 +112,23 @@ class SolverContext:
         #: ``values(F)`` from §3.2 — the candidate universe.
         self.universe: list[Value] = function.value_universe()
         self._by_opcode: dict[str, list[Instruction]] = {}
-        for instruction in function.instructions():
+        #: Block-order position of every instruction: use-list
+        #: proposals sort by it, so they enumerate in opcode-index order.
+        self.instruction_position: dict[Instruction, int] = {}
+        for position, instruction in enumerate(function.instructions()):
             self._by_opcode.setdefault(instruction.opcode, []).append(
                 instruction
             )
+            self.instruction_position[instruction] = position
+        #: The function-wide lists proposals hand out uncopied (the
+        #: block list and the opcode-index lists), by ``id``.  The plan
+        #: engine memoizes them as they are and hashes each one once
+        #: (:attr:`~repro.constraints.solver.SharedSolverCache.id_sets`);
+        #: holding them here keeps their ids from being recycled.
+        self.shared_lists: dict[int, list] = {
+            id(shared): shared
+            for shared in (function.blocks, *self._by_opcode.values())
+        }
         self._uncond_sources: dict[Value, list[BasicBlock]] | None = None
         self._uncond_blocks: list[BasicBlock] | None = None
         self._constant_like: list[Value] | None = None
@@ -184,11 +197,13 @@ class SolverContext:
         return self._solver_cache
 
     def instructions_with_opcode(self, opcode: str) -> list[Instruction]:
-        """All instructions of the function with the given opcode."""
+        """All instructions of the function with the given opcode, in
+        block order.  Callers must not mutate the returned list."""
         return self._by_opcode.get(opcode, [])
 
     def blocks(self) -> list[BasicBlock]:
-        """All basic blocks of the function."""
+        """All basic blocks of the function.  Callers must not mutate
+        the returned list."""
         return self.function.blocks
 
     def uncond_branch_blocks(self, target: Value | None = None) -> list[BasicBlock]:
@@ -268,6 +283,20 @@ class Constraint:
         falls back to other constraints or the full universe.
         """
         return None
+
+    def never_proposes(self, bound: frozenset, label: str,
+                       slot_of: Mapping[str, int]) -> bool:
+        """Whether :meth:`propose` returns None for ``label`` on every
+        assignment binding exactly ``bound``.
+
+        True lets the plan compiler skip the call (the memo key is
+        still recorded, so ``proposal_cache_hits`` is unchanged).  Must
+        never answer True where :meth:`propose` can return a list.  The
+        default answers True only when the class keeps the base
+        :meth:`propose`; ``slot_of`` is the plan's label → slot table
+        (see :meth:`compile_partial`).
+        """
+        return type(self).propose is Constraint.propose
 
     def propose_implies_partial(self, bound: frozenset, label: str) -> bool:
         """Whether this constraint's own proposals pre-satisfy its check.

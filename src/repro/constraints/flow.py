@@ -211,7 +211,13 @@ class FlowChecker:
                 return fail(f"illegal value kind {value.opcode}")
             return all(visit(op, policy, seen) for op in value.operands)
 
-        ok = visit(output, data_policy, data_seen)
+        try:
+            ok = visit(output, data_policy, data_seen)
+        finally:
+            # ``visit`` closes over itself and ``self``: break that
+            # cycle, or it keeps the whole SolverContext alive until
+            # the next full garbage collection.
+            visit = None
         result.ok = ok and result.ok
         return result
 

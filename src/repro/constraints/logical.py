@@ -13,19 +13,30 @@ from ..ir.values import Value
 from .core import Assignment, Constraint, SolverContext
 
 
-def intersect_proposals(proposals: list[list[Value]]) -> list[Value]:
+def intersect_proposals(
+    proposals: list[list[Value]], id_sets: dict | None = None
+) -> list[Value]:
     """Intersect candidate lists, keeping the order of the smallest.
 
     Shared by :meth:`ConstraintAnd.propose` and the compiled solver's
     proposal path so the two can never diverge in ordering or dedup
     semantics (the solver guarantees identical enumeration).
+
+    ``id_sets`` maps the ids of function-wide lists to their id-sets
+    (None until first needed); such a list is hashed once and its set
+    reused.  Every other list is hashed afresh.
     """
     if len(proposals) == 1:
         return proposals[0]
     proposals.sort(key=len)
     result = proposals[0]
     for other in proposals[1:]:
-        other_ids = {id(v) for v in other}
+        key = id(other)
+        other_ids = id_sets.get(key) if id_sets else None
+        if other_ids is None:
+            other_ids = {id(v) for v in other}
+            if id_sets is not None and key in id_sets:
+                id_sets[key] = other_ids
         result = [v for v in result if id(v) in other_ids]
     return result
 
@@ -198,11 +209,18 @@ class ConstraintOr(Constraint):
     def propose(
         self, ctx: SolverContext, assignment: Assignment, label: str
     ) -> Iterable[Value] | None:
+        # Disjuncts already ruled out do not vote.  One live child that
+        # never proposes makes the union unusable: abstain before
+        # building any of it.
+        live = [
+            child for child in self.children
+            if child.partial_check(ctx, assignment)
+        ]
+        if any(type(child).propose is Constraint.propose for child in live):
+            return None
         union: list[Value] = []
         seen: set[int] = set()
-        for child in self.children:
-            if not child.partial_check(ctx, assignment):
-                continue  # disjunct already ruled out
+        for child in live:
             candidates = child.propose(ctx, assignment, label)
             if candidates is None:
                 return None
@@ -211,6 +229,18 @@ class ConstraintOr(Constraint):
                     seen.add(id(value))
                     union.append(value)
         return union
+
+    def never_proposes(self, bound, label, slot_of):
+        # propose() abstains as soon as one live child does, and a
+        # child whose partial verdict is vacuous at ``bound`` is live
+        # on every assignment.
+        from .core import PARTIAL_VACUOUS
+
+        return any(
+            child.never_proposes(bound, label, slot_of)
+            and child.compile_partial(bound, slot_of) is PARTIAL_VACUOUS
+            for child in self.children
+        )
 
     def label_kinds(self):
         # A disjunction only pins a label to the *join* of what its

@@ -51,6 +51,10 @@ from .logical import intersect_proposals
 #: Slot value marking an unbound label.
 _UNBOUND = object()
 
+#: Proposal-memo probe default: distinguishes a miss from a memoized
+#: None (an abstaining row).
+_MISSING = object()
+
 #: Stand-in bound when no solution limit is set: one comparison against
 #: a never-reached integer replaces a None test per search node.
 _NO_LIMIT = 1 << 62
@@ -152,18 +156,21 @@ class PlanStep:
     def __init__(self, label, chain, proposers, prefix_key):
         self.label = label
         self.chain = chain
-        #: ``(conjunct, key_pairs, const_key)`` rows; ``key_pairs`` are
-        #: the pre-sorted ``(label, slot)`` pairs of the conjunct's
-        #: labels bound at this depth — the memo key builds from them
-        #: without per-lookup sorting, and matches the interpreted
-        #: engine's key byte for byte (the caches are
+        #: ``(conjunct, key_pairs, const_key, silent)`` rows;
+        #: ``key_pairs`` are the pre-sorted ``(label, slot)`` pairs of
+        #: the conjunct's labels bound at this depth — the memo key
+        #: builds from them without per-lookup sorting, and matches the
+        #: interpreted engine's key byte for byte (the caches are
         #: engine-interoperable).  When no labels are bound the key is
-        #: a compile-time constant (``const_key``).
+        #: a compile-time constant (``const_key``).  ``silent`` rows
+        #: never propose at this depth
+        #: (:meth:`~repro.constraints.core.Constraint.never_proposes`):
+        #: the search records their memo key but skips the call.
         self.proposers = proposers
         #: Sorted union of the slots all proposer rows read — the
         #: value ids at these slots determine every row's proposal, so
         #: ``(step, ids)`` keys a whole-depth candidate memo.
-        deps = sorted({s for _, pairs, _ in proposers for _, s in pairs})
+        deps = sorted({s for _, pairs, _, _ in proposers for _, s in pairs})
         self.dep_slots = tuple(deps)
         #: ``(label, bound-prefix set)`` — this depth's
         #: ``SolverStats.candidates_per_prefix`` key.
@@ -338,7 +345,10 @@ class FlatPlan:
                 const_key = (
                     (conjuncts[i], label, ()) if not key_pairs else None
                 )
-                proposers.append((conjuncts[i], key_pairs, const_key))
+                silent = conjuncts[i].never_proposes(
+                    bound_before, label, self.slot_of
+                )
+                proposers.append((conjuncts[i], key_pairs, const_key, silent))
             self.steps.append(
                 PlanStep(label, CheckChain(checks, tail), tuple(proposers),
                          (label, bound_before))
@@ -437,6 +447,25 @@ def detect_plan(
     return results
 
 
+def _memoizable(cand, pairs, shared_lists, id_sets):
+    """The proposal ``cand`` as the memo stores it.
+
+    A function-wide list — one the context owns, or one proposed with
+    no label bound (``pairs`` empty), which is made once per context —
+    gets an ``id_sets`` slot, so intersections hash it once.  The
+    context's own lists are stored uncopied; every other proposal is
+    copied into a fresh list.
+    """
+    if cand is None:
+        return None
+    if id(cand) not in shared_lists:
+        cand = list(cand)
+        if pairs:
+            return cand
+    id_sets.setdefault(id(cand), None)
+    return cand
+
+
 def _search(plan, ctx, cache, results, limit_v, stats, frontier):
     """Run ``plan``'s depth-first search, appending to ``results``.
 
@@ -456,6 +485,8 @@ def _search(plan, ctx, cache, results, limit_v, stats, frontier):
     slots = plan._slots
     view = plan._view
     memo = cache.proposal_memo
+    id_sets = cache.id_sets
+    shared_lists = ctx.shared_lists
     isect_memo = cache.intersection_memo
     depth_memo = cache.depth_memo
     universe = ctx.universe
@@ -516,20 +547,21 @@ def _search(plan, ctx, cache, results, limit_v, stats, frontier):
                         else:
                             label = step.label
                             proposals = []
-                            for conjunct, pairs, key in rows:
+                            for conjunct, pairs, key, silent in rows:
                                 if key is None:
                                     bound = ()
                                     for l, s in pairs:
                                         bound += ((l, id(slots[s])),)
                                     key = (conjunct, label, bound)
-                                try:
-                                    cand = memo[key]
-                                    n_hits += 1
-                                except KeyError:
-                                    cand = conjunct.propose(ctx, view, label)
-                                    if cand is not None:
-                                        cand = list(cand)
+                                cand = memo.get(key, _MISSING)
+                                if cand is _MISSING:
+                                    cand = None if silent else _memoizable(
+                                        conjunct.propose(ctx, view, label),
+                                        pairs, shared_lists, id_sets,
+                                    )
                                     memo[key] = cand
+                                else:
+                                    n_hits += 1
                                 if cand is not None:
                                     proposals.append(cand)
                             if not proposals:
@@ -542,7 +574,7 @@ def _search(plan, ctx, cache, results, limit_v, stats, frontier):
                                 candidates = isect_memo.get(ikey)
                                 if candidates is None:
                                     candidates = intersect_proposals(
-                                        proposals
+                                        proposals, id_sets
                                     )
                                     isect_memo[ikey] = candidates
                             depth_memo[dkey] = (candidates, not proposals)

@@ -306,6 +306,10 @@ class SharedSolverCache:
       intersected (pure function of lists that live in
       ``proposal_memo``, so entries stay valid for the cache's
       lifetime);
+    * ``id_sets`` — the id-sets of the function-wide lists in
+      ``proposal_memo`` (the context's block and opcode-index lists,
+      and proposals made with no label bound), each built once, for
+      :func:`~repro.constraints.logical.intersect_proposals`;
     * ``depth_memo`` — plan-engine memo of a whole depth's final
       candidate list, keyed ``(plan step, bound-dependency value ids)``.
       A hit replaces the per-row proposal lookups and the intersection
@@ -324,6 +328,11 @@ class SharedSolverCache:
         self.base_solutions: dict[IdiomSpec, list[dict[str, Value]]] = {}
         self.intersection_memo: dict[tuple, list[Value]] = {}
         self.depth_memo: dict[tuple, tuple[list[Value], bool]] = {}
+        #: ``id`` of a function-wide list in ``proposal_memo`` → its
+        #: id-set, None until an intersection first needs it.
+        #: Per-binding lists get no entry: a set each would outlive
+        #: its one use.
+        self.id_sets: dict[int, set[int] | None] = {}
 
     def solutions_for(self, spec: IdiomSpec):
         """Cached full solution list for ``spec``, or None."""
@@ -339,6 +348,7 @@ class SharedSolverCache:
         self.base_solutions.clear()
         self.intersection_memo.clear()
         self.depth_memo.clear()
+        self.id_sets.clear()
 
 
 class CompiledSpec:

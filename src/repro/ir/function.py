@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Iterator
 from .block import BasicBlock
 from .instructions import Instruction
 from .types import FunctionType
-from .values import Argument, Constant, Value
+from .values import Argument, Constant, GlobalVariable, Value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .module import Module
@@ -107,14 +107,10 @@ class Function(Value):
             add(block)
             for instruction in block.instructions:
                 add(instruction)
-                for operand in instruction.operands:
-                    if isinstance(operand, (Constant,)):
+                # The operand list itself: ``.operands`` copies it.
+                for operand in instruction._operands:
+                    if isinstance(operand, (Constant, GlobalVariable)):
                         add(operand)
-                    else:
-                        from .values import GlobalVariable
-
-                        if isinstance(operand, GlobalVariable):
-                            add(operand)
         return universe
 
     def short_name(self) -> str:

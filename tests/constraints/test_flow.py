@@ -1,5 +1,8 @@
 """Tests for generalized graph domination (the flow constraints)."""
 
+import gc
+import weakref
+
 from repro.analysis import LoopInfo
 from repro.constraints import FlowChecker, FlowPolicy, SolverContext
 from repro.frontend import compile_source
@@ -211,3 +214,22 @@ def test_header_phi_recurrence_rejected():
     result = checker.check(update, data)
     assert not result.ok
     assert "loop-carried" in result.reason
+
+
+def test_a_flow_check_leaves_no_cycle_holding_the_context():
+    """Once the caller drops the checker and the result, the context is
+    freed by reference counting alone, not at the next full garbage
+    collection (dead contexts held that way raised the corpus CLI's
+    peak memory)."""
+    ctx, loop, header, acc, iterator, update = _setup(GOOD)
+    data = FlowPolicy(extra_sources=(acc,), rejected=(iterator,),
+                      index_sources=(iterator,), require_affine_index=True)
+    gc.disable()
+    try:
+        checker = FlowChecker(ctx, loop, exempt_blocks=(header,))
+        assert checker.check(update, data).ok
+        ref = weakref.ref(checker)
+        del checker
+        assert ref() is None
+    finally:
+        gc.enable()
