@@ -23,6 +23,9 @@ The package provides the full stack the paper builds on:
   (staged workers, shared solver caches, deterministic merge);
 * :mod:`repro.evaluation` — one harness per table/figure of §6.
 
+``import repro`` loads none of these: every exported name, and every
+subpackage, loads its module on first use (:mod:`repro._lazy`).
+
 Quickstart::
 
     from repro import compile_source, find_reductions
@@ -40,48 +43,31 @@ Quickstart::
     print(report.summary())
 """
 
-from .frontend import compile_source
-from .idioms import (
-    DetectionReport,
-    HistogramReduction,
-    ReductionOp,
-    ScalarReduction,
-    find_extended_reductions,
-    find_for_loops,
-    find_reductions,
-    find_reductions_in_function,
-)
-from .pipeline import detect_corpus
-from .runtime import Interpreter, MachineModel, Memory, ParallelExecutor
-from .transform import (
-    OutlinedTask,
-    ParallelPlan,
-    TransformFailure,
-    outline_loop,
-    plan_all,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "compile_source",
-    "find_reductions",
-    "find_reductions_in_function",
-    "find_extended_reductions",
-    "find_for_loops",
-    "detect_corpus",
-    "DetectionReport",
-    "ScalarReduction",
-    "HistogramReduction",
-    "ReductionOp",
-    "Interpreter",
-    "Memory",
-    "MachineModel",
-    "ParallelExecutor",
-    "ParallelPlan",
-    "TransformFailure",
-    "OutlinedTask",
-    "plan_all",
-    "outline_loop",
-    "__version__",
-]
+_EXPORTS = {
+    "compile_source": "frontend",
+    "find_reductions": "idioms",
+    "find_reductions_in_function": "idioms",
+    "find_extended_reductions": "idioms",
+    "find_for_loops": "idioms",
+    "detect_corpus": "pipeline",
+    "DetectionReport": "idioms",
+    "ScalarReduction": "idioms",
+    "HistogramReduction": "idioms",
+    "ReductionOp": "idioms",
+    "Interpreter": "runtime",
+    "Memory": "runtime",
+    "MachineModel": "runtime",
+    "ParallelExecutor": "runtime",
+    "ParallelPlan": "transform",
+    "TransformFailure": "transform",
+    "OutlinedTask": "transform",
+    "plan_all": "transform",
+    "outline_loop": "transform",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

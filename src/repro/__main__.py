@@ -108,15 +108,37 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import compile_source, find_reductions, outline_loop, plan_all
-from .ir import print_module
-from .runtime import MachineModel, ParallelExecutor
-from .runtime.parallel import run_sequential
 
+def _compile_file(path: str):
+    """``(module, None)`` or ``(None, exit code)`` with the error printed.
 
-def _read(path: str) -> str:
-    with open(path) as handle:
-        return handle.read()
+    An unreadable file or a source the frontend rejects is the user's
+    error, not a crash: print ``FILE:line:col: message`` (``FILE:
+    message`` for errors without a position) and exit 2, as ``lint``
+    does for a spec that fails to parse.
+    """
+    from .frontend import (
+        LexerError,
+        LoweringError,
+        ParseError,
+        SemaError,
+        compile_source,
+    )
+
+    try:
+        with open(path) as handle:
+            source = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None, 2
+    try:
+        return compile_source(source, path), None
+    except (LexerError, ParseError) as exc:
+        # The message already starts with "line:col: ".
+        print(f"{path}:{exc}", file=sys.stderr)
+    except (SemaError, LoweringError) as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+    return None, 2
 
 
 def _build_registry(spec_paths, lint: bool = False):
@@ -183,6 +205,7 @@ def _cmd_detect(args) -> int:
         SpecFileError,
         detect as solve,
     )
+    from .idioms import find_reductions
 
     try:
         registry = _build_registry(args.spec, lint=args.lint)
@@ -210,7 +233,9 @@ def _cmd_detect(args) -> int:
         print("error: a FILE.c argument is required unless --list-idioms",
               file=sys.stderr)
         return 2
-    module = compile_source(_read(args.file), args.file)
+    module, code = _compile_file(args.file)
+    if module is None:
+        return code
     report = find_reductions(module, registry=registry)
     print(report.summary())
     for scalar in report.scalars:
@@ -301,13 +326,24 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    module = compile_source(_read(args.file), args.file)
+    from .ir import print_module
+
+    module, code = _compile_file(args.file)
+    if module is None:
+        return code
     print(print_module(module), end="")
     return 0
 
 
 def _cmd_parallelize(args) -> int:
-    module = compile_source(_read(args.file), args.file)
+    from .idioms import find_reductions
+    from .runtime import MachineModel, ParallelExecutor
+    from .runtime.parallel import run_sequential
+    from .transform import outline_loop, plan_all
+
+    module, code = _compile_file(args.file)
+    if module is None:
+        return code
     report = find_reductions(module)
     tasks = []
     for function_reductions in report.functions:
@@ -340,7 +376,7 @@ def _cmd_parallelize(args) -> int:
 
 def _cmd_corpus(args) -> int:
     from .evaluation.discovery import run_discovery, summary_against_paper
-    from .pipeline import detect_corpus, feedback_from_report, save_report
+    from .pipeline import detect_corpus
 
     # Resolve the feedback artifact up front through the one shared
     # parent-side implementation (read + fingerprint-verified exactly
@@ -382,9 +418,13 @@ def _cmd_corpus(args) -> int:
                 print(f"  {program.suite}/{program.name}  "
                       f"{match.idiom}  {match.name}{detail}")
     if args.save_report:
+        from .pipeline import save_report
+
         save_report(report, args.save_report)
         print(f"report saved to {args.save_report}")
     if args.save_feedback:
+        from .pipeline import feedback_from_report
+
         _save_feedback_cli(feedback_from_report(report),
                            args.save_feedback)
     return _failure_exit(report.failures, args.allow_failures)

@@ -1,39 +1,25 @@
 """Compiler analyses: CFG, dominators, loops, purity, scalar evolution."""
 
-from .cfg import CFG
-from .defuse import (
-    defined_in_loop,
-    defining_block,
-    live_out_values,
-    transitive_operands,
-    users_in_loop,
-    users_outside_loop,
-)
-from .dominators import DominatorTree, dominance_frontiers
-from .loops import Loop, LoopInfo
-from .purity import PurityAnalysis
-from .scev import (
-    Affine,
-    InductionVariable,
-    LoopBounds,
-    ScalarEvolution,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CFG",
-    "DominatorTree",
-    "dominance_frontiers",
-    "Loop",
-    "LoopInfo",
-    "PurityAnalysis",
-    "Affine",
-    "InductionVariable",
-    "LoopBounds",
-    "ScalarEvolution",
-    "defining_block",
-    "defined_in_loop",
-    "users_in_loop",
-    "users_outside_loop",
-    "live_out_values",
-    "transitive_operands",
-]
+_EXPORTS = {
+    "CFG": "cfg",
+    "DominatorTree": "dominators",
+    "dominance_frontiers": "dominators",
+    "Loop": "loops",
+    "LoopInfo": "loops",
+    "PurityAnalysis": "purity",
+    "Affine": "scev",
+    "InductionVariable": "scev",
+    "LoopBounds": "scev",
+    "ScalarEvolution": "scev",
+    "defining_block": "defuse",
+    "defined_in_loop": "defuse",
+    "users_in_loop": "defuse",
+    "users_outside_loop": "defuse",
+    "live_out_values": "defuse",
+    "transitive_operands": "defuse",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -1,20 +1,19 @@
 """Comparison baselines: Polly+reductions, icc, SCEV, LRPD models."""
 
-from . import icc, lrpd, polly, scev_reduction
-from .icc import IccLoopReport, IccReport
-from .polly import PollyReport, SCoP
-from .lrpd import LrpdReport
-from .scev_reduction import ScevReductionReport
+from .._lazy import lazy_exports
 
-__all__ = [
-    "icc",
-    "polly",
-    "lrpd",
-    "scev_reduction",
-    "IccReport",
-    "IccLoopReport",
-    "PollyReport",
-    "SCoP",
-    "LrpdReport",
-    "ScevReductionReport",
-]
+_EXPORTS = {
+    "icc": "icc",
+    "polly": "polly",
+    "lrpd": "lrpd",
+    "scev_reduction": "scev_reduction",
+    "IccReport": "icc",
+    "IccLoopReport": "icc",
+    "PollyReport": "polly",
+    "SCoP": "polly",
+    "LrpdReport": "lrpd",
+    "ScevReductionReport": "scev_reduction",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -7,120 +7,66 @@ backtracking solver that finds all satisfying value tuples in a
 function.
 """
 
-from .analysis import (
-    DIAGNOSTIC_CODES,
-    Diagnostic,
-    analyze_registry,
-    analyze_spec,
-    cross_spec_diagnostics,
-    lint_spec_files,
-)
-from .atomic import (
-    Blocked,
-    CFGEdge,
-    DefDominatesBlock,
-    Distinct,
-    Dominates,
-    EndsInCondBranch,
-    EndsInUncondBranch,
-    InBlock,
-    IsConstantLike,
-    Opcode,
-    PhiIncomingFromBlock,
-    PhiOfTwo,
-    PostDominates,
-    Predicate,
-    SESERegion,
-    StrictlyDominates,
-    StrictlyPostDominates,
-)
-from .core import Assignment, Constraint, IdiomSpec, SolverContext, constraint_labels
-from .flow import (
-    ComputedOnlyFrom,
-    FlowChecker,
-    FlowPolicy,
-    FlowResult,
-    declarative_flow,
-    root_base,
-    stored_bases,
-)
-from .logical import ConstraintAnd, ConstraintOr
-from .plan import FlatPlan, compile_plan, detect_plan
-from .predicates import PREDICATE_ATOMS, register_predicate_atom
-from .solver import (
-    CompiledSpec,
-    SharedSolverCache,
-    SolverStats,
-    compile_spec,
-    detect,
-    detect_brute_force,
-    suggest_order,
-)
-from .specfile import (
-    BUILTIN_SPEC_FILES,
-    SpecFileError,
-    builtin_spec_dir,
-    builtin_spec_path,
-    load_spec_file,
-    parse_spec_text,
-    render_spec_text,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Constraint",
-    "ConstraintAnd",
-    "ConstraintOr",
-    "IdiomSpec",
-    "SolverContext",
-    "Assignment",
-    "constraint_labels",
-    "CFGEdge",
-    "EndsInUncondBranch",
-    "EndsInCondBranch",
-    "Dominates",
-    "StrictlyDominates",
-    "PostDominates",
-    "StrictlyPostDominates",
-    "Blocked",
-    "SESERegion",
-    "Opcode",
-    "PhiOfTwo",
-    "PhiIncomingFromBlock",
-    "InBlock",
-    "IsConstantLike",
-    "DefDominatesBlock",
-    "Distinct",
-    "Predicate",
-    "FlowPolicy",
-    "FlowChecker",
-    "FlowResult",
-    "ComputedOnlyFrom",
-    "declarative_flow",
-    "root_base",
-    "stored_bases",
-    "detect",
-    "detect_brute_force",
-    "SolverStats",
-    "SharedSolverCache",
-    "CompiledSpec",
-    "FlatPlan",
-    "compile_plan",
-    "detect_plan",
-    "compile_spec",
-    "suggest_order",
-    "PREDICATE_ATOMS",
-    "register_predicate_atom",
-    "load_spec_file",
-    "parse_spec_text",
-    "render_spec_text",
-    "SpecFileError",
-    "BUILTIN_SPEC_FILES",
-    "builtin_spec_dir",
-    "builtin_spec_path",
-    "Diagnostic",
-    "DIAGNOSTIC_CODES",
-    "analyze_spec",
-    "analyze_registry",
-    "cross_spec_diagnostics",
-    "lint_spec_files",
-]
+_EXPORTS = {
+    "Constraint": "core",
+    "ConstraintAnd": "logical",
+    "ConstraintOr": "logical",
+    "IdiomSpec": "core",
+    "SolverContext": "core",
+    "Assignment": "core",
+    "constraint_labels": "core",
+    "CFGEdge": "atomic",
+    "EndsInUncondBranch": "atomic",
+    "EndsInCondBranch": "atomic",
+    "Dominates": "atomic",
+    "StrictlyDominates": "atomic",
+    "PostDominates": "atomic",
+    "StrictlyPostDominates": "atomic",
+    "Blocked": "atomic",
+    "SESERegion": "atomic",
+    "Opcode": "atomic",
+    "PhiOfTwo": "atomic",
+    "PhiIncomingFromBlock": "atomic",
+    "InBlock": "atomic",
+    "IsConstantLike": "atomic",
+    "DefDominatesBlock": "atomic",
+    "Distinct": "atomic",
+    "Predicate": "atomic",
+    "FlowPolicy": "flow",
+    "FlowChecker": "flow",
+    "FlowResult": "flow",
+    "ComputedOnlyFrom": "flow",
+    "declarative_flow": "flow",
+    "root_base": "flow",
+    "stored_bases": "flow",
+    "detect": "solver",
+    "detect_brute_force": "solver",
+    "SolverStats": "solver",
+    "SharedSolverCache": "solver",
+    "CompiledSpec": "solver",
+    "FlatPlan": "plan",
+    "compile_plan": "plan",
+    "detect_plan": "plan",
+    "compile_spec": "solver",
+    "suggest_order": "solver",
+    "PREDICATE_ATOMS": "predicates",
+    "register_predicate_atom": "predicates",
+    "load_spec_file": "specfile",
+    "parse_spec_text": "specfile",
+    "render_spec_text": "specfile",
+    "SpecFileError": "specfile",
+    "BUILTIN_SPEC_FILES": "specfile",
+    "builtin_spec_dir": "specfile",
+    "builtin_spec_path": "specfile",
+    "Diagnostic": "analysis",
+    "DIAGNOSTIC_CODES": "analysis",
+    "analyze_spec": "analysis",
+    "analyze_registry": "analysis",
+    "cross_spec_diagnostics": "analysis",
+    "lint_spec_files": "analysis",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -8,34 +8,32 @@
 * ``paper``       — every number the paper states, for comparison
 """
 
-from . import compile_time, coverage, discovery, paper, render, scops, speedup
-from .compile_time import CompileTimeResult, run_compile_time
-from .coverage import CoverageResult, run_all_coverage, run_coverage
-from .discovery import DiscoveryResult, run_all_discovery, run_discovery
-from .scops import ScopResult, run_all_scops, run_scops
-from .speedup import SpeedupResult, SpeedupRow, evaluate_benchmark, run_figure15
+from .._lazy import lazy_exports
 
-__all__ = [
-    "paper",
-    "render",
-    "discovery",
-    "scops",
-    "coverage",
-    "speedup",
-    "compile_time",
-    "run_discovery",
-    "run_all_discovery",
-    "DiscoveryResult",
-    "run_scops",
-    "run_all_scops",
-    "ScopResult",
-    "run_coverage",
-    "run_all_coverage",
-    "CoverageResult",
-    "run_figure15",
-    "evaluate_benchmark",
-    "SpeedupResult",
-    "SpeedupRow",
-    "run_compile_time",
-    "CompileTimeResult",
-]
+_EXPORTS = {
+    "paper": "paper",
+    "render": "render",
+    "discovery": "discovery",
+    "scops": "scops",
+    "coverage": "coverage",
+    "speedup": "speedup",
+    "compile_time": "compile_time",
+    "run_discovery": "discovery",
+    "run_all_discovery": "discovery",
+    "DiscoveryResult": "discovery",
+    "run_scops": "scops",
+    "run_all_scops": "scops",
+    "ScopResult": "scops",
+    "run_coverage": "coverage",
+    "run_all_coverage": "coverage",
+    "CoverageResult": "coverage",
+    "run_figure15": "speedup",
+    "evaluate_benchmark": "speedup",
+    "SpeedupResult": "speedup",
+    "SpeedupRow": "speedup",
+    "run_compile_time": "compile_time",
+    "CompileTimeResult": "compile_time",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -4,11 +4,18 @@ The corpus programs (``repro.workloads``) are written in a C subset
 large enough to express the paper's benchmark kernels: functions,
 global arrays, ``for``/``while``/``if``, calls to math intrinsics,
 compound assignment and multi-dimensional array indexing.
+
+:func:`tokenize` matches every token kind with one compiled regular
+expression.  ``tests/frontend/reference_lexer.py`` keeps the
+character-at-a-time scanner it replaced, and the tests hold the two to
+the same tokens and the same errors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from functools import lru_cache
+from typing import NamedTuple
 
 KEYWORDS = frozenset(
     {
@@ -28,28 +35,13 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so maximal munch works.
-_MULTI_OPS = (
-    "<<=",
-    ">>=",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "++",
-    "--",
-    "<<",
-    ">>",
+#: Operators and punctuators, longest first so maximal munch works.
+_OPS = (
+    "<<=", ">>=",
+    "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=", "%=",
+    "++", "--", "<<", ">>",
+    *"+-*/%<>=!&|^~?:;,(){}[]",
 )
-
-_SINGLE_OPS = "+-*/%<>=!&|^~?:;,(){}[]"
 
 
 class LexerError(Exception):
@@ -61,12 +53,12 @@ class LexerError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token.
 
     ``kind`` is ``ident``, ``int``, ``float``, ``keyword``, ``op`` or
-    ``eof``; ``text`` is the exact source spelling.
+    ``eof``; ``text`` is the exact source spelling.  A token is a
+    plain tuple underneath: cheap to build, equal and hashed by value.
     """
 
     kind: str
@@ -83,89 +75,80 @@ class Token:
         return self.kind == "keyword" and self.text == text
 
 
+_TOKEN_KINDS = frozenset({"ident", "keyword", "int", "float", "op"})
+
+
+@lru_cache(maxsize=16)
+def _master(extra_digits: str = "", not_letters: str = "") -> re.Pattern:
+    r"""The one alternation every token kind is matched by.
+
+    Identifiers start with a ``str.isalpha`` letter or ``_`` and go on
+    with ``str.isalnum`` characters or ``_``; numbers are runs of
+    ``str.isdigit`` characters.  ``\w`` is exactly ``isalnum`` or
+    ``_``, and ``\d`` exactly ``isdecimal``.  So on a source without
+    numeric characters that are neither decimal digits nor letters
+    (superscripts, fractions, Roman numerals), ``[^\W\d]`` is exactly
+    ``isalpha`` or ``_``.  For any other source, :func:`tokenize`
+    passes that source's own such characters: ``not_letters`` cannot
+    start an identifier, and ``extra_digits`` (the ``isdigit`` ones)
+    also make up numbers.
+    """
+    digit = f"[\\d{re.escape(extra_digits)}]" if extra_digits else r"\d"
+    letter = f"[^\\W\\d{re.escape(not_letters)}]"
+    keywords = "|".join(sorted(KEYWORDS))
+    ops = "|".join(map(re.escape, _OPS))
+    # A token swallows the blanks after it, so a line costs one extra
+    # match (its newline and indentation), not one per gap.
+    return re.compile(
+        rf"""(?:(?P<space>[ \t\r\n]+)
+        |(?P<comment>//[^\n]*|/\*.*?\*/)
+        |(?P<open_comment>/\*)
+        |(?P<float>(?:{digit}+\.{digit}*|\.{digit}+)(?:[eE][+-]?{digit}*)?
+                  |{digit}+[eE][+-]?{digit}*)
+        |(?P<int>{digit}+)
+        |(?P<keyword>(?:{keywords})\b)
+        |(?P<ident>{letter}\w*)
+        |(?P<op>{ops})
+        |(?P<bad>.))[ \t\r]*""",
+        re.DOTALL | re.VERBOSE,
+    )
+
+
 def tokenize(source: str) -> list[Token]:
     """Convert ``source`` into a token list ending with an ``eof`` token."""
-    tokens: list[Token] = []
-    index = 0
-    line = 1
-    column = 1
-    length = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal index, line, column
-        for _ in range(count):
-            if index < length and source[index] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            index += 1
-
-    while index < length:
-        char = source[index]
-        if char in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("//", index):
-            end = source.find("\n", index)
-            advance((end - index) if end != -1 else (length - index))
-            continue
-        if source.startswith("/*", index):
-            end = source.find("*/", index + 2)
-            if end == -1:
-                raise LexerError("unterminated block comment", line, column)
-            advance(end + 2 - index)
-            continue
-        if char.isalpha() or char == "_":
-            start = index
-            while index < length and (
-                source[index].isalnum() or source[index] == "_"
-            ):
-                index += 1
-            text = source[start:index]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, column))
-            column += index - start
-            continue
-        if char.isdigit() or (
-            char == "." and index + 1 < length and source[index + 1].isdigit()
-        ):
-            start = index
-            is_float = False
-            while index < length and source[index].isdigit():
-                index += 1
-            if index < length and source[index] == ".":
-                is_float = True
-                index += 1
-                while index < length and source[index].isdigit():
-                    index += 1
-            if index < length and source[index] in "eE":
-                is_float = True
-                index += 1
-                if index < length and source[index] in "+-":
-                    index += 1
-                while index < length and source[index].isdigit():
-                    index += 1
-            text = source[start:index]
-            tokens.append(
-                Token("float" if is_float else "int", text, line, column)
+    master = _master()
+    if not source.isascii():
+        odd = sorted(
+            char for char in set(source)
+            if char.isnumeric() and not char.isdecimal()
+            and not char.isalpha()
+        )
+        if odd:
+            master = _master(
+                "".join(char for char in odd if char.isdigit()),
+                "".join(odd),
             )
-            column += index - start
-            continue
-        matched = False
-        for op in _MULTI_OPS:
-            if source.startswith(op, index):
-                tokens.append(Token("op", op, line, column))
-                advance(len(op))
-                matched = True
-                break
-        if matched:
-            continue
-        if char in _SINGLE_OPS:
-            tokens.append(Token("op", char, line, column))
-            advance(1)
-            continue
-        raise LexerError(f"unexpected character {char!r}", line, column)
-
-    tokens.append(Token("eof", "", line, column))
+    new = tuple.__new__
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # index of the first character of ``line``
+    for match in master.finditer(source):
+        kind = match.lastgroup
+        if kind in _TOKEN_KINDS:
+            append(new(Token, (kind, match[kind], line,
+                               match.start() - line_start + 1)))
+        elif kind == "space" or kind == "comment":
+            text = match.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + text.rindex("\n") + 1
+        elif kind == "bad":
+            raise LexerError(f"unexpected character {match[kind]!r}",
+                             line, match.start() - line_start + 1)
+        else:
+            raise LexerError("unterminated block comment",
+                             line, match.start() - line_start + 1)
+    append(new(Token, ("eof", "", line, len(source) - line_start + 1)))
     return tokens

@@ -162,17 +162,23 @@ class ModuleLowering:
                 initializer = [
                     float(init_value) if element_type == DOUBLE else int(init_value)
                 ]
-            variable = self.module.add_global(
-                decl.name, element_type, size, initializer
-            )
+            try:
+                variable = self.module.add_global(
+                    decl.name, element_type, size, initializer
+                )
+            except ValueError as exc:  # a redefinition
+                raise SemaError(str(exc)) from None
             self.global_slots[decl.name] = _Slot(variable, element_type, dims)
 
     def _declare_function(self, func_def: FuncDef) -> Function:
         param_types = tuple(_ir_type(p.type) for p in func_def.params)
         ftype = FunctionType(_ir_type(func_def.return_type), param_types)
-        return self.module.add_function(
-            func_def.name, ftype, [p.name for p in func_def.params]
-        )
+        try:
+            return self.module.add_function(
+                func_def.name, ftype, [p.name for p in func_def.params]
+            )
+        except ValueError as exc:  # a redefinition
+            raise SemaError(str(exc)) from None
 
     def resolve_callee(self, name: str) -> tuple[Function, Signature]:
         """Find (declaring on demand) the IR function for a call."""

@@ -110,6 +110,8 @@ class Parser:
         return Program(globals_, functions)
 
     def parse_base_type(self) -> CType:
+        if not self.at_type():
+            raise ParseError("expected type", self.current)
         keyword = self.advance()
         base = _TYPE_KEYWORDS[keyword.text]
         pointer = 0

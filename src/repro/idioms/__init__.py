@@ -1,91 +1,46 @@
 """Idiom specifications: for loops, scalar reductions, histograms."""
 
-from .detect import (
-    find_for_loops,
-    find_reductions,
-    find_reductions_in_function,
-)
-from .extensions import (
-    ExtendedReport,
-    FunctionExtensions,
-    argminmax_spec,
-    dot_product_spec,
-    find_extended_in_function,
-    find_extended_reductions,
-    nested_array_reduction_spec,
-)
-from .forloop import (
-    FOR_LOOP_LABEL_ORDER,
-    ForLoopMatch,
-    for_loop_constraint,
-    for_loop_spec,
-)
-from .histogram import HISTOGRAM_LABEL_ORDER, histogram_constraint, histogram_spec
-from .postprocess import (
-    accumulator_confined,
-    alias_checks_for,
-    base_memory_ops_confined,
-    classify_update,
-)
-from .registry import (
-    BUILTIN_IDIOMS,
-    CORE_IDIOMS,
-    EXTENSION_IDIOMS,
-    IdiomRegistry,
-    RegisteredIdiom,
-    default_registry,
-    reset_default_registry,
-)
-from .reports import (
-    AliasCheck,
-    DetectionReport,
-    FunctionReductions,
-    HistogramReduction,
-    ReductionOp,
-    ScalarReduction,
-)
-from .scalar_reduction import (
-    SCALAR_REDUCTION_LABEL_ORDER,
-    scalar_reduction_constraint,
-    scalar_reduction_spec,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "find_reductions",
-    "find_reductions_in_function",
-    "find_for_loops",
-    "IdiomRegistry",
-    "RegisteredIdiom",
-    "BUILTIN_IDIOMS",
-    "CORE_IDIOMS",
-    "EXTENSION_IDIOMS",
-    "default_registry",
-    "reset_default_registry",
-    "for_loop_spec",
-    "for_loop_constraint",
-    "ForLoopMatch",
-    "FOR_LOOP_LABEL_ORDER",
-    "scalar_reduction_spec",
-    "scalar_reduction_constraint",
-    "SCALAR_REDUCTION_LABEL_ORDER",
-    "histogram_spec",
-    "histogram_constraint",
-    "HISTOGRAM_LABEL_ORDER",
-    "classify_update",
-    "accumulator_confined",
-    "base_memory_ops_confined",
-    "alias_checks_for",
-    "DetectionReport",
-    "FunctionReductions",
-    "ScalarReduction",
-    "HistogramReduction",
-    "ReductionOp",
-    "AliasCheck",
-    "find_extended_reductions",
-    "find_extended_in_function",
-    "ExtendedReport",
-    "FunctionExtensions",
-    "dot_product_spec",
-    "argminmax_spec",
-    "nested_array_reduction_spec",
-]
+_EXPORTS = {
+    "find_reductions": "detect",
+    "find_reductions_in_function": "detect",
+    "find_for_loops": "detect",
+    "IdiomRegistry": "registry",
+    "RegisteredIdiom": "registry",
+    "BUILTIN_IDIOMS": "registry",
+    "CORE_IDIOMS": "registry",
+    "EXTENSION_IDIOMS": "registry",
+    "default_registry": "registry",
+    "reset_default_registry": "registry",
+    "for_loop_spec": "forloop",
+    "for_loop_constraint": "forloop",
+    "ForLoopMatch": "forloop",
+    "FOR_LOOP_LABEL_ORDER": "forloop",
+    "scalar_reduction_spec": "scalar_reduction",
+    "scalar_reduction_constraint": "scalar_reduction",
+    "SCALAR_REDUCTION_LABEL_ORDER": "scalar_reduction",
+    "histogram_spec": "histogram",
+    "histogram_constraint": "histogram",
+    "HISTOGRAM_LABEL_ORDER": "histogram",
+    "classify_update": "postprocess",
+    "accumulator_confined": "postprocess",
+    "base_memory_ops_confined": "postprocess",
+    "alias_checks_for": "postprocess",
+    "DetectionReport": "reports",
+    "FunctionReductions": "reports",
+    "ScalarReduction": "reports",
+    "HistogramReduction": "reports",
+    "ReductionOp": "reports",
+    "AliasCheck": "reports",
+    "find_extended_reductions": "extensions",
+    "find_extended_in_function": "extensions",
+    "ExtendedReport": "extensions",
+    "FunctionExtensions": "extensions",
+    "dot_product_spec": "extensions",
+    "argminmax_spec": "extensions",
+    "nested_array_reduction_spec": "extensions",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

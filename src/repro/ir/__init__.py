@@ -6,120 +6,66 @@ a structural verifier.  This is the universe over which the paper's
 constraint solver operates.
 """
 
-from .block import BasicBlock
-from .builder import IRBuilder
-from .function import Function
-from .instructions import (
-    CAST_OPCODES,
-    COMMUTATIVE_OPCODES,
-    FCMP_PREDICATES,
-    FLOAT_BINARY_OPCODES,
-    ICMP_PREDICATES,
-    INT_BINARY_OPCODES,
-    AllocaInst,
-    BinaryInst,
-    BranchInst,
-    CallInst,
-    CastInst,
-    FCmpInst,
-    GEPInst,
-    ICmpInst,
-    Instruction,
-    LoadInst,
-    PhiInst,
-    ReturnInst,
-    SelectInst,
-    StoreInst,
-)
-from .module import Module
-from .parser import IRParseError, parse_module
-from .printer import print_function, print_module
-from .types import (
-    DOUBLE,
-    FLOAT,
-    INT1,
-    INT32,
-    INT64,
-    LABEL,
-    VOID,
-    FloatType,
-    FunctionType,
-    IntType,
-    LabelType,
-    PointerType,
-    Type,
-    VoidType,
-)
-from .values import (
-    Argument,
-    Constant,
-    ConstantFloat,
-    ConstantInt,
-    GlobalVariable,
-    UndefValue,
-    Use,
-    Value,
-    const_bool,
-    const_float,
-    const_int,
-)
-from .verifier import VerificationError, verify_function, verify_module
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BasicBlock",
-    "IRBuilder",
-    "Function",
-    "Module",
-    "Instruction",
-    "BinaryInst",
-    "ICmpInst",
-    "FCmpInst",
-    "AllocaInst",
-    "LoadInst",
-    "StoreInst",
-    "GEPInst",
-    "PhiInst",
-    "BranchInst",
-    "ReturnInst",
-    "CallInst",
-    "SelectInst",
-    "CastInst",
-    "INT_BINARY_OPCODES",
-    "FLOAT_BINARY_OPCODES",
-    "ICMP_PREDICATES",
-    "FCMP_PREDICATES",
-    "CAST_OPCODES",
-    "COMMUTATIVE_OPCODES",
-    "Type",
-    "VoidType",
-    "IntType",
-    "FloatType",
-    "PointerType",
-    "LabelType",
-    "FunctionType",
-    "INT1",
-    "INT32",
-    "INT64",
-    "FLOAT",
-    "DOUBLE",
-    "VOID",
-    "LABEL",
-    "Value",
-    "Use",
-    "Constant",
-    "ConstantInt",
-    "ConstantFloat",
-    "UndefValue",
-    "Argument",
-    "GlobalVariable",
-    "const_int",
-    "const_float",
-    "const_bool",
-    "print_function",
-    "print_module",
-    "parse_module",
-    "IRParseError",
-    "VerificationError",
-    "verify_function",
-    "verify_module",
-]
+_EXPORTS = {
+    "BasicBlock": "block",
+    "IRBuilder": "builder",
+    "Function": "function",
+    "Module": "module",
+    "Instruction": "instructions",
+    "BinaryInst": "instructions",
+    "ICmpInst": "instructions",
+    "FCmpInst": "instructions",
+    "AllocaInst": "instructions",
+    "LoadInst": "instructions",
+    "StoreInst": "instructions",
+    "GEPInst": "instructions",
+    "PhiInst": "instructions",
+    "BranchInst": "instructions",
+    "ReturnInst": "instructions",
+    "CallInst": "instructions",
+    "SelectInst": "instructions",
+    "CastInst": "instructions",
+    "INT_BINARY_OPCODES": "instructions",
+    "FLOAT_BINARY_OPCODES": "instructions",
+    "ICMP_PREDICATES": "instructions",
+    "FCMP_PREDICATES": "instructions",
+    "CAST_OPCODES": "instructions",
+    "COMMUTATIVE_OPCODES": "instructions",
+    "Type": "types",
+    "VoidType": "types",
+    "IntType": "types",
+    "FloatType": "types",
+    "PointerType": "types",
+    "LabelType": "types",
+    "FunctionType": "types",
+    "INT1": "types",
+    "INT32": "types",
+    "INT64": "types",
+    "FLOAT": "types",
+    "DOUBLE": "types",
+    "VOID": "types",
+    "LABEL": "types",
+    "Value": "values",
+    "Use": "values",
+    "Constant": "values",
+    "ConstantInt": "values",
+    "ConstantFloat": "values",
+    "UndefValue": "values",
+    "Argument": "values",
+    "GlobalVariable": "values",
+    "const_int": "values",
+    "const_float": "values",
+    "const_bool": "values",
+    "print_function": "printer",
+    "print_module": "printer",
+    "parse_module": "parser",
+    "IRParseError": "parser",
+    "VerificationError": "verifier",
+    "verify_function": "verifier",
+    "verify_module": "verifier",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

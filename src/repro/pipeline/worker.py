@@ -7,8 +7,8 @@ engine:
 
 1. **compile** — mini-C source to canonical SSA.  Compiled modules are
    cached *per worker* (a program split into function units compiles
-   once per worker that touches it, not once per function); nothing is
-   inherited from the parent, so spawn and fork agree;
+   once per worker that touches it, not once per function); no compiled
+   module is inherited from the parent, so spawn and fork agree;
 2. **detect**  — the core scalar/histogram idioms via
    :func:`~repro.idioms.detect.find_reductions_in_function`, all specs
    of one function sharing that function's
@@ -37,6 +37,16 @@ import threading
 import time
 from typing import Sequence
 
+# The stages are imported here, not inside the functions that run
+# them: a serving parent that imports this module has the whole
+# detection stack loaded before it forks, so a new or respawned worker
+# never compiles modules on a unit's critical path.
+from ..baselines import icc, polly
+from ..constraints import SolverStats
+from ..idioms.detect import find_reductions_in_function
+from ..idioms.extensions import find_extended_in_function
+from ..idioms.registry import IdiomRegistry
+from ..workloads import program
 from .digest import UnitDigest, digest_extensions, digest_function
 from .options import PipelineOptions
 from .shard import WorkUnit
@@ -52,8 +62,6 @@ def _build_registry(options: PipelineOptions, orders=None):
     pipeline driver, ``options.feedback_from`` is loaded here as the
     fallback.
     """
-    from ..idioms.registry import IdiomRegistry
-
     registry = IdiomRegistry()
     for path in options.spec_files:
         registry.load_file(path)
@@ -194,8 +202,6 @@ class ModuleCache:
         The seconds are 0.0 on a cache hit — the compile cost is
         charged to the one unit that triggered it.
         """
-        from ..workloads import program
-
         cached = self._modules.get(key)
         if cached is not None:
             self._modules.move_to_end(key)
@@ -211,8 +217,6 @@ class ModuleCache:
 
 
 def _run_baselines(module):
-    from ..baselines import icc, polly
-
     icc_count = icc.detected_reduction_count(module)
     polly_report = polly.analyze_module(module)
     polly_scops, _ = polly_report.counts()
@@ -249,9 +253,6 @@ def detect_unit(
         targets = [defined[index]]
         total = len(defined)
 
-    from ..constraints import SolverStats
-    from ..idioms.detect import find_reductions_in_function
-
     explore_policy = None
     if options.explore:
         from .feedback import ExplorationPolicy, OrderObs, shape_bucket
@@ -271,8 +272,6 @@ def detect_unit(
                                          registry=registry)
         detect_seconds += time.perf_counter() - started
         if options.extended:
-            from ..idioms.extensions import find_extended_in_function
-
             # Reuse the detect stage's context (analyses + solver
             # cache + solved for-loop prefix) and charge the search to
             # the same per-function stats.

@@ -8,6 +8,9 @@ fingerprint-identical to the serial batch run with the same options.
 
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +153,47 @@ def test_failed_unit_raises_on_stream_not_in_the_worker(monkeypatch):
     assert report.fingerprint() == detect_corpus(
         jobs=1, keys=KEYS[1:3]
     ).fingerprint()
+
+
+#: Runs in a fresh interpreter, so nothing this test process imported
+#: can warm the workers: only what importing the serving engine loads
+#: in the parent is inherited by its forked workers.
+WARM_WORKER_PROBE = """
+import os, sys
+import repro.pipeline.serving as serving_module
+from repro.pipeline import PipelineOptions, ServingEngine
+
+STAGES = ("repro.frontend", "repro.idioms.detect", "repro.baselines.icc")
+real = serving_module.detect_unit
+parent = os.getpid()
+
+def probe(unit, *args, **kwargs):
+    cold = [name for name in STAGES if name not in sys.modules]
+    if os.getpid() != parent and cold:
+        raise RuntimeError(f"cold worker: {cold} not yet imported")
+    return real(unit, *args, **kwargs)
+
+serving_module.detect_unit = probe
+options = PipelineOptions(jobs=2, start_method="fork", baselines=True)
+with ServingEngine(options) as engine:
+    report = engine.serve([("EP", "NAS"), ("CG", "NAS")])
+assert len(report.programs) == 2, report.programs
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="inherited modules need the fork start method")
+def test_forked_workers_start_with_the_stages_imported():
+    """The worker module imports every stage at module level, so a
+    forked worker has them before its first unit."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", WARM_WORKER_PROBE],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_shutdown_fails_pending_jobs_instead_of_hanging():

@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command line interface."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import main
@@ -175,6 +178,57 @@ def test_parallelize_reports_nothing_to_do(tmp_path, capsys):
     path.write_text("int main(void) { print_int(1); return 0; }")
     assert main(["parallelize", str(path)]) == 1
     assert "nothing to parallelize" in capsys.readouterr().out
+
+
+#: One source per frontend error kind, and what stderr must say.
+BAD_SOURCES = [
+    ("int main(void) { int $x; return 0; }",
+     ":1:22: unexpected character '$'"),
+    ("int main(void) {\n  /* never closed", ":2:3: unterminated block comment"),
+    ("int main(void) { return 0 }", ":1:27: expected ';'"),
+    ("int main(voidx) { return 0; }", ":1:10: expected type"),
+    ("int a[0]; int main(void) { return 0; }",
+     ": non-positive dimension in a"),
+    ("int n; int n; int main(void) { return 0; }",
+     ": global 'n' already defined"),
+    ("int f(void) { return 1; } int f(void) { return 2; }",
+     ": function 'f' already defined"),
+    ("int main(void) { return y; }", ": unknown variable 'y'"),
+    ("int main(void) { break; return 0; }", ": break outside of a loop"),
+]
+
+
+@pytest.mark.parametrize("verb", ["detect", "emit", "parallelize"])
+@pytest.mark.parametrize("source,message", BAD_SOURCES)
+def test_frontend_errors_exit_2_without_traceback(verb, source, message,
+                                                  tmp_path, capsys):
+    path = tmp_path / "bad.c"
+    path.write_text(source)
+    assert main([verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{path}{message}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["detect", "emit", "parallelize"])
+def test_missing_source_file_exits_2(verb, tmp_path, capsys):
+    path = tmp_path / "absent.c"
+    assert main([verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "No such file or directory" in err
+
+
+def test_frontend_error_exits_2_from_a_fresh_process(tmp_path):
+    path = tmp_path / "bad.c"
+    path.write_text("int main(void) { return 0 }")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "detect", str(path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"{path}:1:27: expected ';' (got op '}}')\n"
 
 
 def test_detect_renders_spec_diagnostic(source_file, tmp_path, capsys):
