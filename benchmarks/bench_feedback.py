@@ -198,112 +198,3 @@ def test_feedback_of_a_static_run_is_honest():
             effort=False
         )
         assert replay.total_constraint_evals <= cold.total_constraint_evals
-
-
-def test_exploration_discovers_a_strictly_better_order():
-    """The explore–exploit acceptance bar.
-
-    A deterministic ε-greedy exploration run (ε=0.25, seed=1) pairs a
-    perturbed-order candidate run against the incumbent on a sampled
-    subset of functions, records exact per-order savings, and the
-    derived winner must strictly beat the curated orders corpus-wide
-    and on at least one suite — while regressing none.  The explored
-    report itself stays fingerprint-identical to the plain run
-    (digests always come from the incumbent leg), and the explored
-    artifact is byte-identical across jobs, granularity, and start
-    method.  The numbers land in ``results/BENCH_feedback.json``
-    under ``exploration``.
-    """
-    from collections import defaultdict
-
-    epsilon, seed = 0.25, 1
-    base = detect_corpus(jobs=1)
-    explored = detect_corpus(jobs=1, explore=epsilon, explore_seed=seed)
-    assert explored.fingerprint() == base.fingerprint()
-
-    store = feedback_from_report(explored)
-    assert store.orders  # the sample measured per-order outcomes
-    derived = store.spec_orders(IdiomRegistry())
-    assert derived  # at least one measured order won its Pareto test
-
-    tuned = detect_corpus(jobs=1, spec_orders=derived)
-    # Same detections, strictly less search than the curated orders.
-    assert tuned.fingerprint(effort=False) == base.fingerprint(
-        effort=False
-    )
-    assert tuned.total_constraint_evals < base.total_constraint_evals
-
-    def by_suite(report):
-        evals = defaultdict(int)
-        for digest in report.programs:
-            evals[digest.suite] += sum(
-                stats.constraint_evals
-                for stats in digest.spec_stats.values()
-            )
-        return dict(evals)
-
-    base_suites = by_suite(base)
-    tuned_suites = by_suite(tuned)
-    strictly_better = sorted(
-        suite for suite in base_suites
-        if tuned_suites[suite] < base_suites[suite]
-    )
-    assert strictly_better  # ≥ 1 suite strictly beats curated
-    assert all(tuned_suites[suite] <= base_suites[suite]
-               for suite in base_suites)  # and none regress
-
-    # The explored artifact's determinism matrix: byte-identical
-    # across jobs, granularity, and start method (exploration samples
-    # per function, so the sample is sharding-invariant).
-    matrix = {
-        "jobs1-program": dict(jobs=1),
-        "jobs3-program": dict(jobs=3),
-        "jobs3-function": dict(jobs=3, granularity="function"),
-    }
-    for method in multiprocessing.get_all_start_methods():
-        if method in ("fork", "spawn"):
-            matrix[f"jobs2-function-{method}"] = dict(
-                jobs=2, granularity="function", start_method=method
-            )
-    with tempfile.TemporaryDirectory() as tmp:
-        blobs = {}
-        for name, kwargs in matrix.items():
-            report = detect_corpus(explore=epsilon, explore_seed=seed,
-                                   **kwargs)
-            assert report.fingerprint() == base.fingerprint()
-            path = os.path.join(tmp, f"{name}.json")
-            save_feedback(feedback_from_report(report), path)
-            with open(path, "rb") as handle:
-                blobs[name] = handle.read()
-        reference_blob = blobs["jobs1-program"]
-        assert all(blob == reference_blob for blob in blobs.values())
-
-    # Fold the exploration leg into the benchmark artifact (the
-    # reduction test earlier in this file writes the base payload).
-    from conftest import RESULTS_DIR
-
-    artifact_path = os.path.join(RESULTS_DIR, "BENCH_feedback.json")
-    payload = {}
-    if os.path.exists(artifact_path):
-        with open(artifact_path) as handle:
-            payload = json.load(handle)
-    payload["exploration"] = {
-        "epsilon": epsilon,
-        "seed": seed,
-        "curated_constraint_evals": base.total_constraint_evals,
-        "explored_tuned_constraint_evals": tuned.total_constraint_evals,
-        "paired_saving": (base.total_constraint_evals
-                          - tuned.total_constraint_evals),
-        "adopted_orders": {
-            name: list(order) for name, order in sorted(derived.items())
-        },
-        "suite_constraint_evals": {
-            suite: {"curated": base_suites[suite],
-                    "explored": tuned_suites[suite]}
-            for suite in sorted(base_suites)
-        },
-        "strictly_better_suites": strictly_better,
-        "explored_artifact_fingerprint": store.fingerprint(),
-        "artifact_byte_identical_across": sorted(matrix),
-    }
-    write_artifact("BENCH_feedback.json", json.dumps(payload, indent=2))

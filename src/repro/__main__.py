@@ -71,15 +71,11 @@ Commands
     Operate on recorded solver-feedback artifacts (the lifecycle side
     of ``--save-feedback``/``--feedback-from``; see
     ``docs/feedback.md``).  ``inspect ART.json`` prints the artifact's
-    version, fingerprint, per-spec statistics, measured per-order
-    observations and the orders a consuming run would derive
-    (``--json`` for the machine-readable form); ``diff A.json B.json``
-    compares two artifacts (exit 1 when they differ, 0 when
-    identical); ``decay ART.json --keep R`` scales every recorded
-    counter to ``R`` of its value (``--out`` writes elsewhere,
-    default in place) — the retention knob that lets a drifted
-    workload re-learn.  All output is deterministic: same artifacts,
-    same bytes.
+    version, fingerprint, per-spec statistics and the orders a
+    consuming run would derive (``--json`` for the machine-readable
+    form); ``diff A.json B.json`` compares two artifacts (exit 1 when
+    they differ, 0 when identical).  All output is deterministic: same
+    artifacts, same bytes.
 
 ``gateway``
     Put the **socket gateway** in front of the serving engine: a
@@ -341,6 +337,9 @@ def _cmd_parallelize(args) -> int:
     from .runtime.parallel import run_sequential
     from .transform import outline_loop, plan_all
 
+    if args.threads < 1:
+        print("error: --threads must be >= 1", file=sys.stderr)
+        return 2
     module, code = _compile_file(args.file)
     if module is None:
         return code
@@ -378,6 +377,9 @@ def _cmd_corpus(args) -> int:
     from .evaluation.discovery import run_discovery, summary_against_paper
     from .pipeline import detect_corpus
 
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return 2
     # Resolve the feedback artifact up front through the one shared
     # parent-side implementation (read + fingerprint-verified exactly
     # once), so a bad file exits cleanly while genuine pipeline
@@ -398,9 +400,7 @@ def _cmd_corpus(args) -> int:
     report = detect_corpus(jobs=args.jobs, baselines=True,
                            extended=args.extended,
                            granularity=args.granularity,
-                           spec_orders=feedback_orders,
-                           explore=args.explore,
-                           explore_seed=args.explore_seed)
+                           spec_orders=feedback_orders)
     results = {
         name: run_discovery(name, report=report)
         for name in ("NAS", "Parboil", "Rodinia")
@@ -430,48 +430,21 @@ def _cmd_corpus(args) -> int:
     return _failure_exit(report.failures, args.allow_failures)
 
 
-def _order_rows(store, name):
-    """``{order: [(bucket, obs), ...]}`` for one spec, sorted."""
-    rows: dict = {}
-    for (spec, order, bucket), obs in sorted(store.orders.items()):
-        if spec == name:
-            rows.setdefault(order, []).append((bucket, obs))
-    return rows
-
-
 def _render_feedback(store, registry) -> list[str]:
     """The deterministic ``feedback inspect`` body lines."""
     from .pipeline import canonical_orders
 
     lines = [f"  {store.describe()}"]
-    current = {entry.name: entry.spec.label_order for entry in registry}
-    derived = store.spec_orders(registry)
-    for name in sorted(set(store.specs) | {k[0] for k in store.orders}):
-        stats = store.specs.get(name)
+    for name in sorted(store.specs):
+        stats = store.specs[name]
         lines.append(f"spec {name}")
-        if stats is not None:
-            lines.append(
-                f"  stats: {stats.constraint_evals} constraint eval(s), "
-                f"{stats.solutions} solution(s), "
-                f"{len(stats.candidates_per_prefix)} measured prefix "
-                f"continuation(s)"
-            )
-        for order, buckets in _order_rows(store, name).items():
-            tag = ""
-            if order == current.get(name):
-                tag = "  [incumbent]"
-            elif name in derived and order == derived[name]:
-                tag = "  [winner]"
-            functions = sum(obs.functions for _, obs in buckets)
-            evals = sum(obs.constraint_evals for _, obs in buckets)
-            saving = sum(obs.saving() for _, obs in buckets)
-            detail = f"functions={functions} evals={evals}"
-            if saving:
-                detail += f" paired saving {saving:+d}"
-            lines.append(f"  order {' '.join(order)}{tag}")
-            lines.append(f"    {detail} over "
-                         f"{' '.join(sorted(b for b, _ in buckets))}")
-    changed = canonical_orders(derived)
+        lines.append(
+            f"  stats: {stats.constraint_evals} constraint eval(s), "
+            f"{stats.solutions} solution(s), "
+            f"{len(stats.candidates_per_prefix)} measured prefix "
+            f"continuation(s)"
+        )
+    changed = canonical_orders(store.spec_orders(registry))
     if changed is None:
         lines.append("derive: no order changes")
     else:
@@ -482,7 +455,6 @@ def _render_feedback(store, registry) -> list[str]:
 
 
 def _cmd_feedback(args) -> int:
-    from .pipeline import save_feedback
     from .pipeline.feedback import FEEDBACK_VERSION
 
     store, code = _load_feedback_cli(args.artifact)
@@ -508,54 +480,26 @@ def _cmd_feedback(args) -> int:
         for line in _render_feedback(store, registry):
             print(line)
         return 0
-    if args.action == "diff":
-        other, code = _load_feedback_cli(args.other)
-        if other is None:
-            return code
-        if store.fingerprint() == other.fingerprint():
-            print(f"identical: {store.describe()}")
-            return 0
-        print(f"A {args.artifact}: {store.describe()}")
-        print(f"B {args.other}: {other.describe()}")
-        for name in sorted(set(store.specs) | set(other.specs)):
-            a, b = store.specs.get(name), other.specs.get(name)
-            if a is None:
-                print(f"  spec {name}: only in B")
-            elif b is None:
-                print(f"  spec {name}: only in A")
-            elif a.canonical() != b.canonical():
-                print(f"  spec {name}: evals "
-                      f"{b.constraint_evals - a.constraint_evals:+d}, "
-                      f"solutions {b.solutions - a.solutions:+d}")
-        added = sorted(set(other.orders) - set(store.orders))
-        removed = sorted(set(store.orders) - set(other.orders))
-        changed = sorted(
-            key for key in set(store.orders) & set(other.orders)
-            if store.orders[key].canonical()
-            != other.orders[key].canonical()
-        )
-        for key in removed:
-            print(f"  order row only in A: {key[0]} {key[2]}")
-        for key in added:
-            print(f"  order row only in B: {key[0]} {key[2]}")
-        for key in changed:
-            delta = (other.orders[key].constraint_evals
-                     - store.orders[key].constraint_evals)
-            print(f"  order row {key[0]} {key[2]}: evals {delta:+d}")
-        return 1
-    # decay
-    before = store.describe()
-    try:
-        store.decay(args.keep)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = args.out or args.artifact
-    save_feedback(store, out)
-    print(f"decayed {args.artifact} (keep={args.keep}) -> {out}")
-    print(f"  before: {before}")
-    print(f"  after:  {store.describe()}")
-    return 0
+    # diff
+    other, code = _load_feedback_cli(args.other)
+    if other is None:
+        return code
+    if store.fingerprint() == other.fingerprint():
+        print(f"identical: {store.describe()}")
+        return 0
+    print(f"A {args.artifact}: {store.describe()}")
+    print(f"B {args.other}: {other.describe()}")
+    for name in sorted(set(store.specs) | set(other.specs)):
+        a, b = store.specs.get(name), other.specs.get(name)
+        if a is None:
+            print(f"  spec {name}: only in B")
+        elif b is None:
+            print(f"  spec {name}: only in A")
+        elif a.canonical() != b.canonical():
+            print(f"  spec {name}: evals "
+                  f"{b.constraint_evals - a.constraint_evals:+d}, "
+                  f"solutions {b.solutions - a.solutions:+d}")
+    return 1
 
 
 def _cmd_serve(args) -> int:
@@ -588,8 +532,6 @@ def _cmd_serve(args) -> int:
         max_tasks_per_worker=args.max_tasks_per_worker,
         feedback_from=args.feedback_from,
         feedback_refresh=args.self_tune,
-        explore=args.explore,
-        explore_seed=args.explore_seed,
     )
     report = None
     failures: list = []
@@ -786,6 +728,12 @@ def _cmd_submit(args) -> int:
     if args.cancel_after is not None and args.cancel_after < 1:
         print("error: --cancel-after must be >= 1", file=sys.stderr)
         return 2
+    if args.timeout <= 0:
+        print("error: --timeout must be > 0", file=sys.stderr)
+        return 2
+    if args.connect_retries < 0:
+        print("error: --connect-retries must be >= 0", file=sys.stderr)
+        return 2
     port = _resolve_gateway_port(args)
     if port is None:
         print("error: no gateway port (pass --port or --port-file of a "
@@ -939,20 +887,10 @@ def main(argv: list[str] | None = None) -> int:
     corpus_cmd.add_argument("--allow-failures", action="store_true",
                             help="exit 0 even when the report records "
                                  "failed units (default: exit 3)")
-    corpus_cmd.add_argument("--explore", type=float, default=0.0,
-                            metavar="EPS",
-                            help="deterministically explore perturbed "
-                                 "spec orders on this fraction of "
-                                 "functions (recorded per-order "
-                                 "observations feed --save-feedback)")
-    corpus_cmd.add_argument("--explore-seed", type=int, default=0,
-                            metavar="N",
-                            help="seed of the exploration sample (same "
-                                 "seed, same sample — byte-reproducible)")
     corpus_cmd.set_defaults(fn=_cmd_corpus)
 
     feedback_cmd = commands.add_parser(
-        "feedback", help="inspect / diff / decay feedback artifacts")
+        "feedback", help="inspect / diff feedback artifacts")
     feedback_actions = feedback_cmd.add_subparsers(dest="action",
                                                    required=True)
     inspect_cmd = feedback_actions.add_parser(
@@ -970,18 +908,6 @@ def main(argv: list[str] | None = None) -> int:
     diff_cmd.add_argument("artifact", metavar="A.json")
     diff_cmd.add_argument("other", metavar="B.json")
     diff_cmd.set_defaults(fn=_cmd_feedback)
-    decay_cmd = feedback_actions.add_parser(
-        "decay", help="scale every recorded counter (retention)")
-    decay_cmd.add_argument("artifact", metavar="FEEDBACK.json")
-    decay_cmd.add_argument("--keep", type=float, required=True,
-                           metavar="R",
-                           help="fraction of every counter to keep, "
-                                "in [0, 1]")
-    decay_cmd.add_argument("--out", metavar="OUT.json", default=None,
-                           help="write the decayed artifact here "
-                                "(default: in place)")
-    decay_cmd.set_defaults(fn=_cmd_feedback)
-
     serve_cmd = commands.add_parser(
         "serve", help="persistent serving engine over the corpus")
     serve_cmd.add_argument("--jobs", type=int, default=2,
@@ -1024,15 +950,6 @@ def main(argv: list[str] | None = None) -> int:
                            help="re-derive spec orders from served "
                                 "units at every submit (long-lived "
                                 "sessions tune themselves)")
-    serve_cmd.add_argument("--explore", type=float, default=0.0,
-                           metavar="EPS",
-                           help="deterministically explore perturbed "
-                                "spec orders on this fraction of served "
-                                "functions (pairs with --self-tune: "
-                                "measured winners are adopted live)")
-    serve_cmd.add_argument("--explore-seed", type=int, default=0,
-                           metavar="N",
-                           help="seed of the exploration sample")
     serve_cmd.add_argument("--allow-failures", action="store_true",
                            help="exit 0 even when requests recorded "
                                 "failed units (default: exit 3)")

@@ -241,48 +241,6 @@ class SolverStats:
         """An independent deep copy (merge mutates in place)."""
         return SolverStats().merge(self)
 
-    def decay(self, keep: float) -> "SolverStats":
-        """Scale every counter down to ``keep`` of its value (in place).
-
-        The feedback store's retention primitive: ``decay(0.5)`` halves
-        the weight of everything recorded so far, so newer observations
-        merged afterwards dominate older ones (an exponential window).
-        Counters are floored to integers — the artifact stays exact,
-        serializable, and mergeable — and dict entries that decay to
-        nothing are dropped (a prefix row whose visit count reaches 0
-        carries no usable mean and would divide by zero downstream).
-
-        ``keep=1.0`` is the identity; ``keep=0.0`` empties the stats.
-        Returns ``self``.
-        """
-        if not 0.0 <= keep <= 1.0:
-            raise ValueError(f"keep must be within [0, 1], got {keep}")
-        if keep == 1.0:
-            return self
-        scale = lambda value: int(value * keep)  # noqa: E731
-        self.assignments_tried = scale(self.assignments_tried)
-        self.partial_rejections = scale(self.partial_rejections)
-        self.solutions = scale(self.solutions)
-        self.fallbacks_to_universe = scale(self.fallbacks_to_universe)
-        self.constraint_evals = scale(self.constraint_evals)
-        self.proposal_cache_hits = scale(self.proposal_cache_hits)
-        self.prefix_reuses = scale(self.prefix_reuses)
-        self.conjuncts_pruned = scale(self.conjuncts_pruned)
-        self.evals_pruned = scale(self.evals_pruned)
-        self.trie_reuses = scale(self.trie_reuses)
-        self.candidates_per_label = {
-            label: scaled
-            for label, count in self.candidates_per_label.items()
-            if (scaled := scale(count))
-        }
-        self.candidates_per_prefix = {
-            key: (visits, scale(total))
-            for key, (raw_visits, total)
-            in self.candidates_per_prefix.items()
-            if (visits := scale(raw_visits))
-        }
-        return self
-
 
 class SharedSolverCache:
     """Search state hoisted out of individual ``detect`` calls.

@@ -216,15 +216,6 @@ class IdiomRegistry:
             changed.append(self.register(new_spec, source=entry.source))
         return changed
 
-    def current_orders(self) -> "dict[str, tuple[str, ...]]":
-        """Every registered idiom's current label enumeration order.
-
-        The exploit-side baseline exploration perturbs: a perturbed
-        mapping is this one with exactly one spec's suffix transposed,
-        fed back through :meth:`apply_orders` on a fresh registry.
-        """
-        return {entry.name: entry.spec.label_order for entry in self}
-
     # -- lookup -----------------------------------------------------------
 
     def spec(self, name: str) -> IdiomSpec:

@@ -89,10 +89,7 @@ _EXPORTS = {
     "program_from_json": "digest",
     "load_report": "digest",
     "save_report": "digest",
-    "ExplorationPolicy": "feedback",
     "FeedbackStore": "feedback",
-    "OrderObs": "feedback",
-    "shape_bucket": "feedback",
     "canonical_orders": "feedback",
     "feedback_from_detection": "feedback",
     "feedback_from_report": "feedback",

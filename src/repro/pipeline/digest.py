@@ -120,28 +120,10 @@ class UnitDigest:
     #: the feedback artifact has its own fingerprint.
     spec_stats: dict = field(default_factory=dict, compare=False,
                              hash=False)
-    #: Per-order observations (``(spec, order, shape bucket)`` →
-    #: :class:`~repro.pipeline.feedback.OrderObs`) recorded when the
-    #: run explores enumeration orders.  ``compare=False`` like
-    #: :attr:`spec_stats`: the report fingerprint is about detections
-    #: and total effort, and the feedback artifact carries its own.
-    order_obs: dict = field(default_factory=dict, compare=False,
-                            hash=False)
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.name, self.suite)
-
-
-def merge_unit_order_obs(units) -> dict:
-    """Per-order observations summed across digests, into fresh objects
-    (order-canonical, exactly like :func:`merge_spec_stats`)."""
-    from .feedback import merge_order_obs
-
-    merged: dict = {}
-    for unit in units:
-        merge_order_obs(merged, unit.order_obs)
-    return merged
 
 
 def merge_spec_stats(units) -> dict:
@@ -214,7 +196,6 @@ def assemble_program(units) -> ProgramDigest:
         polly_reductions=lead.polly_reductions if lead else None,
         stage_seconds=stage_seconds,
         spec_stats=merge_spec_stats(units),
-        order_obs=merge_unit_order_obs(units),
     )
 
 
@@ -238,10 +219,6 @@ class ProgramDigest:
     #: :func:`~repro.pipeline.feedback.feedback_from_report`.
     spec_stats: dict = field(default_factory=dict, compare=False,
                              hash=False)
-    #: Per-order observations summed over the program's units — see
-    #: :attr:`UnitDigest.order_obs`.
-    order_obs: dict = field(default_factory=dict, compare=False,
-                            hash=False)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -409,7 +386,7 @@ def program_to_json(p: ProgramDigest) -> dict:
     wire as programs complete — the same encoding in a frame as in a
     saved report, so a client can rebuild either.
     """
-    data = {
+    return {
         "name": p.name,
         "suite": p.suite,
         "functions": [
@@ -448,14 +425,6 @@ def program_to_json(p: ProgramDigest) -> dict:
             for name in sorted(p.spec_stats)
         },
     }
-    if p.order_obs:
-        # Only exploration runs record these; the key is omitted when
-        # empty so non-exploring report files are byte-unchanged.
-        data["order_obs"] = [
-            [name, list(order), bucket, *obs.canonical()]
-            for (name, order, bucket), obs in sorted(p.order_obs.items())
-        ]
-    return data
 
 
 def report_to_json(report: CorpusReport) -> dict:
@@ -482,8 +451,6 @@ def report_to_json(report: CorpusReport) -> dict:
 def program_from_json(p: dict) -> ProgramDigest:
     """Rebuild one :class:`ProgramDigest` from :func:`program_to_json`
     data (a saved report entry, or a gateway digest frame)."""
-    from .feedback import OrderObs
-
     return ProgramDigest(
         name=p["name"],
         suite=p["suite"],
@@ -522,16 +489,6 @@ def program_from_json(p: dict) -> ProgramDigest:
         spec_stats={
             name: SolverStats.from_jsonable(stats)
             for name, stats in p.get("spec_stats", {}).items()
-        },
-        order_obs={
-            (name, tuple(order), bucket): OrderObs(
-                functions=functions, constraint_evals=evals,
-                baseline_evals=baseline,
-                solutions=solutions, assignments_tried=tried,
-                partial_rejections=rejections,
-            )
-            for name, order, bucket, functions, evals, baseline,
-            solutions, tried, rejections in p.get("order_obs", [])
         },
     )
 

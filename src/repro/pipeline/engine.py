@@ -134,8 +134,6 @@ def detect_corpus(
     granularity: str = "program",
     feedback_from: str | None = None,
     spec_orders=None,
-    explore: float = 0.0,
-    explore_seed: int = 0,
 ) -> CorpusReport:
     """Detect reductions across the corpus, optionally in parallel.
 
@@ -157,12 +155,6 @@ def detect_corpus(
     feedback artifact produces.  Either way the detections are
     unchanged — only the search order, and therefore the
     constraint-eval cost, moves.
-
-    ``explore`` turns on deterministic order exploration (see
-    :class:`~repro.pipeline.feedback.ExplorationPolicy`): that
-    fraction of functions runs under a one-transposition perturbed
-    order, and the report's digests carry per-order observations the
-    feedback store uses to adopt strictly-better measured orders.
     """
     options = PipelineOptions(
         jobs=jobs,
@@ -174,8 +166,6 @@ def detect_corpus(
         granularity=granularity,
         feedback_from=feedback_from,
         spec_orders=spec_orders,
-        explore=explore,
-        explore_seed=explore_seed,
     )
     keys = planned_keys(options) if keys is None else list(dict.fromkeys(keys))
     started = time.perf_counter()

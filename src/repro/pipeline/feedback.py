@@ -27,35 +27,19 @@ search order itself:
   :class:`~repro.pipeline.serving.ServingEngine` re-derives as jobs
   complete so serving sessions self-tune (``--self-tune``).
 
-Replay alone can never *beat* the best observed order, so the store
-also supports bounded, deterministic **exploration**
-(:class:`ExplorationPolicy`): on a hash-sampled fraction of functions,
-one spec's enumeration order gets a single adjacent transposition in
-its suffix, and the measured outcome is recorded as a per-order
-observation (:class:`OrderObs`, keyed ``(spec, order, shape
-bucket)``).  :meth:`FeedbackStore.order_for` then keeps the winner —
-a candidate order is adopted only when its measured cost per function
-is *strictly* below the incumbent's, compared within the function
-shape buckets both orders were observed in.  Retention comes from
-:meth:`FeedbackStore.decay` / :meth:`FeedbackStore.window`, so a
-drifted workload re-learns instead of being outvoted by stale history.
-
 Determinism is the load-bearing property: :meth:`SolverStats.merge
 <repro.constraints.SolverStats.merge>` is commutative and associative,
 per-function statistics are independent of sharding (each function has
-its own solver context), exploration decisions are pure functions of
-``(seed, suite, program, function)``, and serialization orders every
-key — so ``jobs=1`` and ``jobs=N`` (fork and spawn) produce
-**byte-identical** feedback artifacts, explored runs included, and
-runs consuming the same artifact produce fingerprint-identical
-reports.
+its own solver context), and serialization orders every key — so
+``jobs=1`` and ``jobs=N`` (fork and spawn) produce **byte-identical**
+feedback artifacts, and runs consuming the same artifact produce
+fingerprint-identical reports.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..constraints import IdiomSpec, SolverStats, suggest_order
@@ -66,20 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .digest import CorpusReport
 
 #: Artifact schema version; bumped on incompatible changes so an old
-#: artifact fails with a clear message instead of a KeyError.
-#: Version 2: :class:`SolverStats` grew the compiled-engine counters
-#: (``conjuncts_pruned``, ``evals_pruned``, ``trie_reuses``), which
-#: participate in ``canonical()`` and therefore in artifact
-#: fingerprints.
-#: Version 3: per-order observations (``orders`` rows recorded by
-#: exploration runs).  Backward compatible: version-2 artifacts still
-#: load (see :data:`FEEDBACK_COMPATIBLE_VERSIONS`), and a store with
-#: no order observations keeps the exact version-2 canonical form, so
-#: its fingerprint — embedded in old artifacts — still verifies.
-FEEDBACK_VERSION = 3
-
-#: Artifact versions :func:`load_feedback` accepts.
-FEEDBACK_COMPATIBLE_VERSIONS = (2, 3)
+#: artifact fails with a clear message instead of a KeyError.  Only
+#: this version loads: a version-3 artifact could carry per-order rows
+#: this build no longer reads, and re-recording is one corpus run.
+FEEDBACK_VERSION = 4
 
 #: Canonical wire form of a spec-orders mapping: name-sorted
 #: ``(name, (label, ...))`` pairs.  Hashable, picklable, and usable as
@@ -99,286 +73,20 @@ def canonical_orders(
     )) or None
 
 
-# -- function shape buckets ---------------------------------------------------
-
-#: Upper bounds (exclusive) of the instruction-count buckets; sizes at
-#: or above the last bound share the final bucket.
-_SIZE_BUCKETS = (40, 160, 640)
-
-#: Loop-nest depths at or above this share the final depth bucket.
-_MAX_DEPTH_BUCKET = 3
-
-
-def shape_bucket(function) -> str:
-    """The shape-conditioning key of one IR function, e.g. ``"d2s1"``.
-
-    One global order is a compromise across function shapes: the best
-    enumeration order for a flat 20-instruction kernel is not
-    necessarily best for a triply-nested 1000-instruction one.  Order
-    observations are therefore keyed by a coarse, **pure** function of
-    the IR — maximum loop-nest depth (``d``) and instruction count
-    (``s``), both bucketed — so the store can tell the regimes apart
-    without fragmenting its measurements into per-function noise.
-
-    Deterministic by construction: depends only on the function's
-    blocks and loops, never on search state or timing.
-    """
-    from ..analysis.loops import LoopInfo
-
-    loops = LoopInfo(function)
-    depth = max((loop.depth for loop in loops.loops), default=0)
-    size = sum(len(block.instructions) for block in function.blocks)
-    size_bucket = len(_SIZE_BUCKETS)
-    for i, bound in enumerate(_SIZE_BUCKETS):
-        if size < bound:
-            size_bucket = i
-            break
-    return f"d{min(depth, _MAX_DEPTH_BUCKET)}s{size_bucket}"
-
-
-# -- per-order observations ---------------------------------------------------
-
-
-@dataclass
-class OrderObs:
-    """Measured outcome of running one enumeration order.
-
-    Aggregated per ``(spec name, order, shape bucket)`` key; every
-    field is a sum, so merging is commutative and associative exactly
-    like :meth:`SolverStats.merge` — the property that keeps explored
-    artifacts byte-identical across sharding shapes.
-
-    Observations are **paired**: an explored function runs under both
-    the incumbent order and the candidate, so ``baseline_evals`` is
-    the incumbent's cost *on the very same functions* this row's
-    ``constraint_evals`` was measured on.  The solver is
-    deterministic, so the paired difference is exact — no
-    cross-function noise from comparing a small candidate sample
-    against a corpus-wide mean.  The incumbent's own rows are
-    self-paired (``baseline_evals == constraint_evals``).
-    """
-
-    functions: int = 0
-    constraint_evals: int = 0
-    baseline_evals: int = 0
-    solutions: int = 0
-    assignments_tried: int = 0
-    partial_rejections: int = 0
-
-    @classmethod
-    def from_stats(
-        cls, stats: SolverStats, baseline: SolverStats | None = None,
-    ) -> "OrderObs":
-        """One function's observation, lifted from its solver stats.
-
-        ``baseline`` is the incumbent order's stats for the *same*
-        function (the pairing); omitted for the incumbent's own row,
-        which pairs with itself.
-        """
-        paired = stats if baseline is None else baseline
-        return cls(
-            functions=1,
-            constraint_evals=stats.constraint_evals,
-            baseline_evals=paired.constraint_evals,
-            solutions=stats.solutions,
-            assignments_tried=stats.assignments_tried,
-            partial_rejections=stats.partial_rejections,
-        )
-
-    def merge(self, other: "OrderObs") -> "OrderObs":
-        """Accumulate ``other`` into this one (in place; returns self)."""
-        self.functions += other.functions
-        self.constraint_evals += other.constraint_evals
-        self.baseline_evals += other.baseline_evals
-        self.solutions += other.solutions
-        self.assignments_tried += other.assignments_tried
-        self.partial_rejections += other.partial_rejections
-        return self
-
-    def copy(self) -> "OrderObs":
-        return OrderObs().merge(self)
-
-    def decay(self, keep: float) -> "OrderObs":
-        """Scale every counter to ``keep`` of its value (floored)."""
-        if keep == 1.0:
-            return self
-        self.functions = int(self.functions * keep)
-        self.constraint_evals = int(self.constraint_evals * keep)
-        self.baseline_evals = int(self.baseline_evals * keep)
-        self.solutions = int(self.solutions * keep)
-        self.assignments_tried = int(self.assignments_tried * keep)
-        self.partial_rejections = int(self.partial_rejections * keep)
-        return self
-
-    def canonical(self) -> tuple:
-        return (
-            self.functions,
-            self.constraint_evals,
-            self.baseline_evals,
-            self.solutions,
-            self.assignments_tried,
-            self.partial_rejections,
-        )
-
-    def mean_evals(self) -> float:
-        """Measured constraint evaluations per observed function."""
-        return self.constraint_evals / self.functions
-
-    def saving(self) -> int:
-        """Paired eval saving vs the incumbent (positive = cheaper)."""
-        return self.baseline_evals - self.constraint_evals
-
-
-#: A per-order observation key: ``(spec name, order, shape bucket)``.
-OrderKey = tuple  # tuple[str, tuple[str, ...], str]
-
-
-def merge_order_obs(target: dict, source: Mapping) -> dict:
-    """Fold ``source``'s per-order observations into ``target``.
-
-    Both map :data:`OrderKey` to :class:`OrderObs`; target entries are
-    fresh copies, so feeding an accumulator never aliases a digest's
-    live objects.  Order-canonical (sums only).  Returns ``target``.
-    """
-    for key, obs in source.items():
-        target.setdefault(key, OrderObs()).merge(obs)
-    return target
-
-
-# -- deterministic exploration ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExplorationPolicy:
-    """Bounded, deterministic ε-greedy order exploration.
-
-    On an ``epsilon`` fraction of functions the pipeline *explores*:
-    exactly one registered spec's enumeration order receives a single
-    adjacent transposition inside its perturbable suffix, and the
-    function runs (and is measured) under that candidate order.  All
-    other functions *exploit* the incumbent orders unchanged.
-
-    Every decision — whether a function explores, which spec is
-    perturbed, and at which position — is a pure function of
-    ``(seed, suite, program, function)`` via SHA-256, never of a
-    process-local RNG.  Consequences:
-
-    * ``jobs=1`` and ``jobs=N`` (fork or spawn) sample the *same*
-      functions with the *same* perturbations, so explored runs stay
-      byte-reproducible end to end;
-    * program and function granularity agree too, because the unit of
-      decision is the function, not the work unit;
-    * re-running with the same seed reproduces the run exactly, while
-      a new seed explores a fresh deterministic sample.
-
-    The perturbation is deliberately minimal — one adjacent swap,
-    never touching a spec's fixed prefix (an ``extends`` spec keeps
-    its base's order; a base spec keeps its anchor label first).  A
-    candidate order is therefore always a valid permutation, solutions
-    are unchanged by construction, and the worst case costs one
-    function a mildly worse search, bounded by ε.
-    """
-
-    epsilon: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(
-                f"epsilon must be within [0, 1], got {self.epsilon}"
-            )
-
-    def _digest(self, suite: str, program: str, function: str) -> bytes:
-        return hashlib.sha256(
-            f"{self.seed}|{suite}|{program}|{function}".encode()
-        ).digest()
-
-    def explores(self, suite: str, program: str, function: str) -> bool:
-        """Whether this function falls in the explored sample."""
-        if self.epsilon <= 0.0:
-            return False
-        digest = self._digest(suite, program, function)
-        draw = int.from_bytes(digest[:8], "big") / 2 ** 64
-        return draw < self.epsilon
-
-    @staticmethod
-    def _suffix_start(spec: IdiomSpec) -> int:
-        """First perturbable position of ``spec``'s order.
-
-        The prefix before it is pinned: an ``extends`` spec must keep
-        its base's order verbatim for prefix replay, and a standalone
-        spec keeps its first label (the anchor every proposal chain
-        grows from) so a single swap can never produce a
-        catastrophically inverted order.
-        """
-        if spec.base is not None:
-            return len(spec.base.label_order)
-        return 1
-
-    def perturbed_orders(
-        self, registry: "IdiomRegistry",
-        suite: str, program: str, function: str,
-    ) -> dict[str, tuple[str, ...]] | None:
-        """The full orders mapping for one explored function, or None.
-
-        None means *exploit* (the function is outside the sample, or
-        no registered spec has a perturbable suffix).  Otherwise the
-        mapping carries every registered spec's current order with
-        exactly one spec transposed — ready for
-        :meth:`~repro.idioms.registry.IdiomRegistry.apply_orders`,
-        which also re-prefixes any spec extending a perturbed base.
-        """
-        if not self.explores(suite, program, function):
-            return None
-        eligible = []
-        for entry in sorted(registry, key=lambda e: e.name):
-            start = self._suffix_start(entry.spec)
-            if len(entry.spec.label_order) - start >= 2:
-                eligible.append((entry.name, entry.spec, start))
-        if not eligible:
-            return None
-        digest = self._digest(suite, program, function)
-        name, spec, start = eligible[
-            int.from_bytes(digest[8:16], "big") % len(eligible)
-        ]
-        span = len(spec.label_order) - start - 1
-        position = start + int.from_bytes(digest[16:24], "big") % span
-        order = list(spec.label_order)
-        order[position], order[position + 1] = (
-            order[position + 1], order[position]
-        )
-        orders = registry.current_orders()
-        orders[name] = tuple(order)
-        return orders
-
-
 class FeedbackStore:
-    """Corpus-wide solver feedback: one merged stats object per spec,
-    plus the per-order observations exploration runs record."""
+    """Corpus-wide solver feedback: one merged stats object per spec."""
 
-    def __init__(
-        self, specs: Mapping[str, SolverStats] | None = None,
-        orders: Mapping | None = None,
-    ) -> None:
+    def __init__(self, specs: Mapping[str, SolverStats] | None = None) -> None:
         #: Spec name → merged :class:`SolverStats`.  Stats objects are
         #: owned by the store (merging copies), so feeding a store
         #: never mutates a caller's live counters.
         self.specs: dict[str, SolverStats] = {}
         for name, stats in (specs or {}).items():
             self.merge_stats(name, stats)
-        #: ``(spec name, order, shape bucket)`` → :class:`OrderObs`,
-        #: the measured outcomes of every enumeration order the store
-        #: has seen run — exploration's raw material.  Empty unless a
-        #: run recorded with ``explore > 0``.
-        self.orders: dict[OrderKey, OrderObs] = {}
-        merge_order_obs(self.orders, orders or {})
         self._fingerprint: str | None = None
 
     def __len__(self) -> int:
         return len(self.specs)
-
-    def __bool__(self) -> bool:
-        return bool(self.specs) or bool(self.orders)
 
     # -- accumulation -----------------------------------------------------
 
@@ -388,87 +96,23 @@ class FeedbackStore:
         self._fingerprint = None
         return self
 
-    def merge_order_obs(self, key: OrderKey, obs: OrderObs) -> "FeedbackStore":
-        """Fold one per-order observation into the store."""
-        key = (str(key[0]), tuple(key[1]), str(key[2]))
-        self.orders.setdefault(key, OrderObs()).merge(obs)
-        self._fingerprint = None
-        return self
-
     def merge(self, other: "FeedbackStore") -> "FeedbackStore":
         """Fold another store into this one (in place; returns self)."""
         for name, stats in other.specs.items():
             self.merge_stats(name, stats)
-        for key, obs in other.orders.items():
-            self.merge_order_obs(key, obs)
         return self
 
     def copy(self) -> "FeedbackStore":
         """An independent deep copy."""
-        return FeedbackStore(self.specs, self.orders)
-
-    # -- retention --------------------------------------------------------
-
-    def decay(self, keep: float) -> "FeedbackStore":
-        """Scale every recorded counter to ``keep`` of its value.
-
-        The lifecycle primitive behind ``repro feedback decay`` and
-        :meth:`window`: old measurements fade instead of accumulating
-        forever, so a drifted workload re-learns.  Counters floor to
-        integers; spec entries that decay to nothing and order rows
-        whose function count reaches zero are dropped (an empty row
-        has no usable mean).  In place; returns ``self``.
-        """
-        if not 0.0 <= keep <= 1.0:
-            raise ValueError(f"keep must be within [0, 1], got {keep}")
-        if keep == 1.0:
-            return self
-        empty = SolverStats().canonical()
-        self.specs = {
-            name: stats for name, stats in self.specs.items()
-            if stats.decay(keep).canonical() != empty
-        }
-        self.orders = {
-            key: obs for key, obs in self.orders.items()
-            if obs.decay(keep).functions > 0
-        }
-        self._fingerprint = None
-        return self
-
-    def window(self, fresh: "FeedbackStore",
-               keep: float = 0.5) -> "FeedbackStore":
-        """Exponentially-windowed retention: decay, then merge.
-
-        ``store.window(run, keep=0.5)`` halves the weight of history
-        and folds in the newest run's measurements, so after ``k``
-        windows an observation ``k`` runs old carries ``keep**k`` of
-        its original weight.  Applied to the *merged* store (decay is
-        integer-floored and therefore not distributive over merge), so
-        the result is independent of how the history was sharded.
-        In place; returns ``self``.
-        """
-        return self.decay(keep).merge(fresh)
+        return FeedbackStore(self.specs)
 
     # -- identity ---------------------------------------------------------
 
     def canonical(self) -> tuple:
-        """Content as nested plain tuples, deterministically ordered.
-
-        A store with no per-order observations keeps the exact
-        version-2 form — the backward-compatibility hinge: a version-2
-        artifact's embedded fingerprint still verifies after this
-        build rebuilds the store.
-        """
-        specs = tuple(sorted(
+        """Content as nested plain tuples, deterministically ordered."""
+        return tuple(sorted(
             (name, stats.canonical()) for name, stats in self.specs.items()
         ))
-        if not self.orders:
-            return specs
-        observations = tuple(sorted(
-            (name, order, bucket, obs.canonical())
-            for (name, order, bucket), obs in self.orders.items()
-        ))
-        return specs + (("orders", observations),)
 
     def fingerprint(self) -> str:
         """A stable SHA-256 of the store's content.
@@ -489,14 +133,6 @@ class FeedbackStore:
     def stats_for(self, name: str) -> SolverStats | None:
         return self.specs.get(name)
 
-    def measured_orders(self, name: str) -> dict:
-        """``{order: {bucket: OrderObs}}`` for one spec name."""
-        measured: dict[tuple, dict[str, OrderObs]] = {}
-        for (spec, order, bucket), obs in self.orders.items():
-            if spec == name:
-                measured.setdefault(order, {})[bucket] = obs
-        return measured
-
     def order_for(self, spec: IdiomSpec) -> tuple[str, ...] | None:
         """The feedback-suggested enumeration order for ``spec``.
 
@@ -505,28 +141,9 @@ class FeedbackStore:
         falling back to the static heuristic, so consuming a store can
         never degrade specs it knows nothing about.
 
-        Two layers, and the strongest evidence available decides:
-
-        1. **replay** — cost-aware :func:`~repro.constraints.
-           suggest_order` over the spec's merged prefix-conditioned
-           statistics (never worse than the observed order).  Used
-           only when the store holds *no* per-order measurements for
-           the spec: an exploration run samples functions into
-           different orders, so its prefix statistics cover a biased
-           subset and replaying them would steer by candidate counts
-           — a proxy — when real eval counts are on file.
-        2. **winner** — if exploration recorded per-order
-           observations, a candidate order replaces the incumbent
-           (the spec's current order) only on *paired* evidence:
-           every explored function ran under both orders, so each
-           candidate row carries the incumbent's exact cost on the
-           same functions (:attr:`OrderObs.baseline_evals`).  The
-           candidate must be no worse in **every** shape bucket it
-           was observed in and strictly cheaper in total — a Pareto
-           rule over paired, noise-free measurements.  Among multiple
-           winners the largest total paired saving is kept, ties
-           breaking lexicographically, so the derive is
-           deterministic.
+        The order is cost-aware :func:`~repro.constraints.suggest_order`
+        replay over the spec's merged prefix-conditioned statistics, so
+        it is never worse than the order that recorded them.
 
         A spec with a :attr:`~repro.constraints.IdiomSpec.base` is
         reordered with the base's label order as a fixed prefix: under
@@ -535,37 +152,14 @@ class FeedbackStore:
         fully-bound base set), and keeping the prefix verbatim is what
         keeps the replay available after the reorder.
         """
-        measured = self.measured_orders(spec.name)
-        if not measured:
-            stats = self.specs.get(spec.name)
-            if stats is None or not stats.candidates_per_prefix:
-                return None
-            prefix = spec.base.label_order if spec.base is not None else ()
-            return suggest_order(
-                spec, feedback=stats, prefix=prefix,
-                cache_token=self.fingerprint(),
-            )
-        incumbent = spec.label_order
-        labels = sorted(spec.label_order)
-        best: tuple[int, tuple[str, ...]] | None = None
-        for order, buckets in sorted(measured.items()):
-            if order == incumbent or sorted(order) != labels:
-                continue
-            # Adopt only on *consistent* paired evidence: within every
-            # shape bucket the candidate was observed in, it must cost
-            # no more than the incumbent did on the very same
-            # functions — and strictly less in total.  A bucket where
-            # the candidate loses vetoes adoption even if other
-            # buckets' savings would outvote it (functions of
-            # different shapes are not interchangeable).
-            if any(obs.saving() < 0 for obs in buckets.values()):
-                continue
-            total_saving = sum(obs.saving() for obs in buckets.values())
-            if total_saving <= 0:
-                continue
-            if best is None or (-total_saving, order) < best:
-                best = (-total_saving, order)
-        return best[1] if best is not None else incumbent
+        stats = self.specs.get(spec.name)
+        if stats is None or not stats.candidates_per_prefix:
+            return None
+        prefix = spec.base.label_order if spec.base is not None else ()
+        return suggest_order(
+            spec, feedback=stats, prefix=prefix,
+            cache_token=self.fingerprint(),
+        )
 
     def spec_orders(self, registry: "IdiomRegistry") -> dict[str, tuple[str, ...]]:
         """Suggested orders for every measured idiom in ``registry``.
@@ -587,7 +181,7 @@ class FeedbackStore:
 
     def to_jsonable(self) -> dict:
         """The versioned artifact as JSON-serializable plain data."""
-        data = {
+        return {
             "version": FEEDBACK_VERSION,
             "fingerprint": self.fingerprint(),
             "specs": {
@@ -595,17 +189,6 @@ class FeedbackStore:
                 for name in sorted(self.specs)
             },
         }
-        if self.orders:
-            data["orders"] = [
-                [name, list(order), bucket,
-                 obs.functions, obs.constraint_evals, obs.baseline_evals,
-                 obs.solutions, obs.assignments_tried,
-                 obs.partial_rejections]
-                for (name, order, bucket), obs in sorted(
-                    self.orders.items()
-                )
-            ]
-        return data
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "FeedbackStore":
@@ -621,11 +204,10 @@ class FeedbackStore:
                 "feedback artifact must be a JSON object"
             )
         version = data.get("version")
-        if version not in FEEDBACK_COMPATIBLE_VERSIONS:
+        if version != FEEDBACK_VERSION:
             raise ValueError(
                 f"feedback artifact version {version!r} is not supported "
-                f"(expected one of "
-                f"{', '.join(map(str, FEEDBACK_COMPATIBLE_VERSIONS))})"
+                f"(expected {FEEDBACK_VERSION})"
             )
         specs = data.get("specs", {})
         if not isinstance(specs, dict) or not all(
@@ -642,25 +224,6 @@ class FeedbackStore:
         except (TypeError, AttributeError, KeyError) as exc:
             raise ValueError(
                 f"feedback artifact holds malformed statistics: {exc}"
-            ) from exc
-        rows = data.get("orders", [])
-        try:
-            for name, order, bucket, *counters in rows:
-                (functions, evals, baseline,
-                 solutions, tried, rejections) = counters
-                store.merge_order_obs(
-                    (name, tuple(order), bucket),
-                    OrderObs(
-                        functions=functions, constraint_evals=evals,
-                        baseline_evals=baseline,
-                        solutions=solutions, assignments_tried=tried,
-                        partial_rejections=rejections,
-                    ),
-                )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"feedback artifact holds malformed order "
-                f"observations: {exc}"
             ) from exc
         # The field is required, not optional: save_feedback always
         # writes it, so its absence is tampering too — deleting the
@@ -681,18 +244,9 @@ class FeedbackStore:
         prefixes = sum(
             len(stats.candidates_per_prefix) for stats in self.specs.values()
         )
-        explored = ""
-        if self.orders:
-            distinct = len({
-                (name, order) for name, order, _ in self.orders
-            })
-            explored = (
-                f", {distinct} measured order(s) over "
-                f"{len(self.orders)} shape row(s)"
-            )
         return (
             f"{len(self.specs)} spec(s), {prefixes} measured "
-            f"prefix continuation(s){explored} [{self.fingerprint()[:12]}]"
+            f"prefix continuation(s) [{self.fingerprint()[:12]}]"
         )
 
 
@@ -701,16 +255,12 @@ def feedback_from_report(report: "CorpusReport") -> FeedbackStore:
 
     The merge is order-canonical (sums only), so ``jobs=1`` and
     ``jobs=N`` reports of the same run yield stores with identical
-    fingerprints — and identical serialized bytes.  Per-order
-    observations (recorded by exploration runs) ride along the same
-    way.
+    fingerprints — and identical serialized bytes.
     """
     store = FeedbackStore()
     for program in report.programs:
         for name, stats in program.spec_stats.items():
             store.merge_stats(name, stats)
-        for key, obs in getattr(program, "order_obs", {}).items():
-            store.merge_order_obs(key, obs)
     return store
 
 
@@ -757,8 +307,7 @@ def load_feedback(path: str) -> FeedbackStore:
         message = str(exc)
         if "version" in message:
             hint = (
-                f"this build reads versions "
-                f"{', '.join(map(str, FEEDBACK_COMPATIBLE_VERSIONS))}; "
+                f"this build reads version {FEEDBACK_VERSION} only; "
                 f"re-record the artifact with --save-feedback"
             )
         elif "fingerprint" in message:

@@ -49,21 +49,6 @@ class PipelineOptions:
     #: Usually derived from :attr:`feedback_from`; set directly to pin
     #: orders by hand (the benchmark's static-order baseline).
     spec_orders: "tuple | dict | None" = None
-    #: Fraction of functions run under a deterministically *perturbed*
-    #: enumeration order (one adjacent suffix transposition of one
-    #: spec), with the measured outcome recorded as per-order feedback
-    #: — see :class:`~repro.pipeline.feedback.ExplorationPolicy`.  The
-    #: decision is a pure hash of ``(explore_seed, suite, program,
-    #: function)``, so ``jobs=1`` and ``jobs=N`` (fork or spawn,
-    #: either granularity) explore the same sample and the recorded
-    #: artifact stays byte-reproducible.  0.0 (the default) records no
-    #: per-order observations and behaves exactly as before.
-    #: Detections are never affected — a perturbed order is still a
-    #: checked permutation.
-    explore: float = 0.0
-    #: Seed of the exploration hash; change it to explore a fresh
-    #: deterministic sample of functions and perturbations.
-    explore_seed: int = 0
     #: Serving engine only: re-derive the spec orders from feedback
     #: accumulated off completed units at every ``submit`` — long-lived
     #: serving sessions self-tune.  Off by default so a default serve
@@ -149,10 +134,6 @@ class PipelineOptions:
             raise ValueError(
                 f"gateway_unit_budget must be >= 1, "
                 f"got {self.gateway_unit_budget}"
-            )
-        if not 0.0 <= self.explore <= 1.0:
-            raise ValueError(
-                f"explore must be within [0, 1], got {self.explore}"
             )
         # Normalize list arguments so options compare/pickle cleanly.
         object.__setattr__(self, "spec_files", tuple(self.spec_files))

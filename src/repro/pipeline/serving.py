@@ -1022,8 +1022,6 @@ class ServingEngine:
             # jobs accepted.
             for name, stats in digest.spec_stats.items():
                 self._feedback_accum.merge_stats(name, stats)
-            for key, obs in digest.order_obs.items():
-                self._feedback_accum.merge_order_obs(key, obs)
         if job.done:
             self._jobs.pop(job_id, None)
 

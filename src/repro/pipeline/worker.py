@@ -78,31 +78,6 @@ def _build_registry(options: PipelineOptions, orders=None):
     return registry
 
 
-#: Worker-local cache of perturbed-order registries, keyed by spec
-#: files and the canonical orders mapping.  Exploration re-draws the
-#: same (spec, position) transpositions across many functions, and a
-#: fresh registry pays plan re-compilation for every spec — caching
-#: turns that into a one-time cost per distinct perturbation.  Pure
-#: cache: a registry is a deterministic function of its key, so reuse
-#: can never change a digest.
-_EXPLORE_REGISTRY_CACHE: dict = {}
-_EXPLORE_REGISTRY_CACHE_LIMIT = 64
-
-
-def _perturbed_registry(options: PipelineOptions, orders: dict):
-    """The (cached) registry for one explored function's orders."""
-    from .feedback import canonical_orders
-
-    key = (options.spec_files, canonical_orders(orders))
-    cached = _EXPLORE_REGISTRY_CACHE.get(key)
-    if cached is None:
-        if len(_EXPLORE_REGISTRY_CACHE) >= _EXPLORE_REGISTRY_CACHE_LIMIT:
-            _EXPLORE_REGISTRY_CACHE.clear()
-        cached = _build_registry(options, orders=orders)
-        _EXPLORE_REGISTRY_CACHE[key] = cached
-    return cached
-
-
 class ChannelSender:
     """Thread-safe sender over a worker's private result pipe.
 
@@ -253,19 +228,10 @@ def detect_unit(
         targets = [defined[index]]
         total = len(defined)
 
-    explore_policy = None
-    if options.explore:
-        from .feedback import ExplorationPolicy, OrderObs, shape_bucket
-
-        explore_policy = ExplorationPolicy(
-            epsilon=options.explore, seed=options.explore_seed
-        )
-
     functions = []
     extended: tuple = ()
     spec_stats: dict[str, SolverStats] = {}
-    order_obs: dict = {}
-    detect_seconds = extend_seconds = explore_seconds = 0.0
+    detect_seconds = extend_seconds = 0.0
     for function in targets:
         started = time.perf_counter()
         fr = find_reductions_in_function(function, module,
@@ -286,58 +252,10 @@ def detect_unit(
             extend_seconds += time.perf_counter() - started
         for name, stats in fr.spec_stats.items():
             spec_stats.setdefault(name, SolverStats()).merge(stats)
-        if explore_policy is not None:
-            # Exploration decides per *function* (not per unit), so
-            # program and function granularity — and any jobs count —
-            # sample identically.  Every function's incumbent run is
-            # recorded as a self-paired observation; an explored
-            # function *additionally* runs under a one-transposition
-            # perturbed registry, and the perturbed spec's outcome is
-            # recorded paired against the incumbent's cost on this
-            # very function.  Digests, detections and the replay
-            # supply all come from the incumbent run, so exploration
-            # only ever adds observations (and search cost), never
-            # changes a report.
-            bucket = shape_bucket(function)
-            incumbent_orders = registry.current_orders()
-            for name, stats in fr.spec_stats.items():
-                key = (name, incumbent_orders[name], bucket)
-                order_obs.setdefault(key, OrderObs()).merge(
-                    OrderObs.from_stats(stats)
-                )
-            perturbed = explore_policy.perturbed_orders(
-                registry, unit.suite, unit.name, function.name
-            )
-            if perturbed is not None:
-                run_registry = _perturbed_registry(options, perturbed)
-                started = time.perf_counter()
-                cr = find_reductions_in_function(function, module,
-                                                 registry=run_registry)
-                if options.extended:
-                    find_extended_in_function(
-                        cr.function, module, registry=run_registry,
-                        ctx=cr.solver_context,
-                        stats=cr.stats,
-                        spec_stats=cr.spec_stats,
-                    )
-                explore_seconds += time.perf_counter() - started
-                for name, stats in cr.spec_stats.items():
-                    candidate = perturbed[name]
-                    if candidate == incumbent_orders[name]:
-                        continue  # only the transposed spec is a candidate
-                    key = (name, candidate, bucket)
-                    order_obs.setdefault(key, OrderObs()).merge(
-                        OrderObs.from_stats(
-                            stats,
-                            baseline=fr.spec_stats.get(name, SolverStats()),
-                        )
-                    )
         functions.append(digest_function(fr))
     stage_seconds["detect"] = detect_seconds
     if options.extended:
         stage_seconds["extend"] = extend_seconds
-    if explore_seconds:
-        stage_seconds["explore"] = explore_seconds
 
     icc_count = polly_scops = polly_reductions = None
     if options.baselines and unit.lead:
@@ -358,7 +276,6 @@ def detect_unit(
         polly_reductions=polly_reductions,
         stage_seconds=stage_seconds,
         spec_stats=spec_stats,
-        order_obs=order_obs,
     )
 
 

@@ -198,6 +198,8 @@ class ParallelExecutor:
         threads: int = 64,
         seed: int = 12345,
     ):
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
         self.module = module
         self.tasks = tasks
         self.threads = threads

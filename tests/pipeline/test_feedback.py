@@ -1,25 +1,19 @@
 """Tests for the persistent solver feedback store.
 
-Five contracts:
+Three contracts:
 
 * **round trip** — a store survives JSON serialization byte-for-byte
-  (fingerprint verified on load, tampering fails loudly, load errors
-  carry the path / found-vs-expected / a fix hint);
+  (fingerprint verified on load, tampering and any version but the
+  current one fail loudly, load errors carry the path /
+  found-vs-expected / a fix hint);
 * **canonical merge** — :meth:`SolverStats.merge` and
-  :meth:`OrderObs.merge` are commutative and associative (also after
-  :meth:`FeedbackStore.decay`), so a corpus aggregate is independent
-  of unit arrival order, and the persisted artifact is byte-identical
-  between ``jobs=1`` and ``jobs=N`` (fork and spawn, program and
-  function granularity);
+  :meth:`FeedbackStore.merge` are commutative and associative, so a
+  corpus aggregate is independent of unit arrival order, and the
+  persisted artifact is byte-identical between ``jobs=1`` and
+  ``jobs=N`` (fork and spawn, program and function granularity);
 * **never worse** — feedback-ordered detection costs at most as many
   constraint evaluations as the order that produced the feedback, on
-  EP and mri-q, through the full registry/store path;
-* **paired winner** — exploration's measured order rows supersede the
-  replay heuristic, and a candidate is adopted only when Pareto-better
-  on exact paired savings (no shape bucket regresses, total positive);
-* **invisible exploration** — an explored run's report is
-  fingerprint-identical to the plain run and its artifact is
-  byte-identical across sharding shapes.
+  EP and mri-q, through the full registry/store path.
 """
 
 import json
@@ -32,15 +26,10 @@ from hypothesis import strategies as st
 from repro.constraints import SolverContext, SolverStats, detect
 from repro.idioms.detect import find_reductions_in_function
 from repro.idioms.registry import IdiomRegistry
-from repro.pipeline.feedback import (
-    FEEDBACK_COMPATIBLE_VERSIONS,
-    FEEDBACK_VERSION,
-)
+from repro.pipeline.feedback import FEEDBACK_VERSION
 from repro.pipeline import (
-    ExplorationPolicy,
     FeedbackStore,
     JobClass,
-    OrderObs,
     PipelineOptions,
     ServingEngine,
     canonical_orders,
@@ -83,28 +72,6 @@ def _stats_strategy():
     )
 
 
-def _obs_strategy():
-    counters = st.integers(min_value=0, max_value=1000)
-    return st.builds(
-        OrderObs,
-        functions=st.integers(min_value=1, max_value=50),
-        constraint_evals=counters,
-        baseline_evals=counters,
-        solutions=counters,
-        assignments_tried=counters,
-        partial_rejections=counters,
-    )
-
-
-def _orders_strategy():
-    key = st.tuples(
-        st.sampled_from(("for-loop", "scalar-reduction", "histogram")),
-        st.permutations(LABELS).map(tuple),
-        st.sampled_from(("d1s0", "d2s1", "d3s3")),
-    )
-    return st.dictionaries(key, _obs_strategy(), max_size=4)
-
-
 def _store_strategy():
     return st.builds(
         FeedbackStore,
@@ -113,7 +80,6 @@ def _store_strategy():
             _stats_strategy(),
             max_size=3,
         ),
-        orders=_orders_strategy(),
     )
 
 
@@ -476,146 +442,30 @@ def test_cli_failure_exit_policy():
                          describe=False) == 3
 
 
-# -- decay & retention --------------------------------------------------------
+# -- store merge and replay ---------------------------------------------------
 
 
-@given(_store_strategy())
+@given(_store_strategy(), _store_strategy())
 @settings(max_examples=25, deadline=None)
-def test_decay_keep_one_is_the_identity(store):
-    before = store.fingerprint()
-    assert store.decay(1.0).fingerprint() == before
-
-
-@given(_store_strategy())
-@settings(max_examples=25, deadline=None)
-def test_decay_keep_zero_empties_the_store(store):
-    store.decay(0.0)
-    assert not store
-    assert store.canonical() == FeedbackStore().canonical()
-
-
-@pytest.mark.parametrize("keep", [-0.1, 1.5, 2.0])
-def test_decay_rejects_keep_out_of_range(keep):
-    with pytest.raises(ValueError, match="keep"):
-        FeedbackStore().decay(keep)
-
-
-def test_decay_drops_rows_that_reach_zero():
-    store = FeedbackStore(orders={
-        ("for-loop", LABELS, "d1s0"): OrderObs(functions=1,
-                                               constraint_evals=3),
-    })
-    store.decay(0.5)
-    assert store.orders == {}
-    assert not store
-
-
-@given(_store_strategy(), _store_strategy(),
-       st.sampled_from((0.25, 0.5, 1.0)))
-@settings(max_examples=25, deadline=None)
-def test_decayed_stores_merge_commutatively(a, b, keep):
-    """Retention composes with aggregation: stores that went through
-    decay still merge order-independently (the property the serving
-    window and multi-shard recording rely on)."""
-    a.decay(keep)
-    b.decay(keep)
+def test_stores_merge_commutatively(a, b):
     ab = a.copy().merge(b)
     ba = b.copy().merge(a)
     assert ab.canonical() == ba.canonical()
     assert ab.fingerprint() == ba.fingerprint()
 
 
-@given(_store_strategy(), _store_strategy(), _store_strategy(),
-       st.sampled_from((0.25, 0.5, 1.0)))
+@given(_store_strategy(), _store_strategy(), _store_strategy())
 @settings(max_examples=25, deadline=None)
-def test_decayed_stores_merge_associatively(a, b, c, keep):
-    for store in (a, b, c):
-        store.decay(keep)
+def test_stores_merge_associatively(a, b, c):
     left = a.copy().merge(b).merge(c)
     right = a.copy().merge(b.copy().merge(c))
     assert left.canonical() == right.canonical()
 
 
-# -- paired winner selection --------------------------------------------------
-
-
-def _paired(evals, baseline, functions=1):
-    return OrderObs(functions=functions, constraint_evals=evals,
-                    baseline_evals=baseline)
-
-
-def _transposed(order, i):
-    swapped = list(order)
-    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-    return tuple(swapped)
-
-
-def test_order_for_adopts_a_strictly_better_paired_candidate():
-    registry = IdiomRegistry()
-    spec = registry.spec("for-loop")
-    incumbent = spec.label_order
-    candidate = _transposed(incumbent, len(incumbent) - 2)
-    store = FeedbackStore()
-    store.merge_order_obs((spec.name, incumbent, "d1s0"),
-                          _paired(100, 100))
-    store.merge_order_obs((spec.name, candidate, "d1s0"),
-                          _paired(90, 100))
-    assert store.order_for(spec) == candidate
-    assert store.spec_orders(registry)[spec.name] == candidate
-
-
-def test_order_for_vetoes_a_candidate_with_any_losing_bucket():
-    """Pareto, not net: a candidate that wins overall but loses one
-    shape bucket is rejected — adoption must never regress a shape."""
-    registry = IdiomRegistry()
-    spec = registry.spec("for-loop")
-    candidate = _transposed(spec.label_order, len(spec.label_order) - 2)
-    store = FeedbackStore()
-    store.merge_order_obs((spec.name, candidate, "d1s0"),
-                          _paired(50, 100))   # saves 50 here
-    store.merge_order_obs((spec.name, candidate, "d2s1"),
-                          _paired(110, 100))  # loses 10 there
-    assert store.order_for(spec) == spec.label_order
-    assert store.spec_orders(registry) == {}
-
-
-def test_order_for_rejects_a_tie():
-    registry = IdiomRegistry()
-    spec = registry.spec("for-loop")
-    candidate = _transposed(spec.label_order, len(spec.label_order) - 2)
-    store = FeedbackStore()
-    store.merge_order_obs((spec.name, candidate, "d1s0"),
-                          _paired(100, 100))
-    assert store.order_for(spec) == spec.label_order
-    assert store.spec_orders(registry) == {}
-
-
-def test_order_for_prefers_the_largest_paired_saving():
-    registry = IdiomRegistry()
-    spec = registry.spec("for-loop")
-    small = _transposed(spec.label_order, len(spec.label_order) - 2)
-    large = _transposed(spec.label_order, len(spec.label_order) - 3)
-    store = FeedbackStore()
-    store.merge_order_obs((spec.name, small, "d1s0"), _paired(90, 100))
-    store.merge_order_obs((spec.name, large, "d1s0"), _paired(50, 100))
-    assert store.order_for(spec) == large
-
-
-def test_order_for_ignores_non_permutation_rows():
-    registry = IdiomRegistry()
-    spec = registry.spec("for-loop")
-    bogus = spec.label_order[:-1]  # wrong label set entirely
-    store = FeedbackStore()
-    store.merge_order_obs((spec.name, bogus, "d1s0"), _paired(10, 100))
-    assert store.order_for(spec) == spec.label_order
-    assert store.spec_orders(registry) == {}
-
-
-def test_measured_orders_supersede_the_replay_heuristic():
-    """Once any order row exists for a spec, the replayed-prefix layer
-    is out of the loop: exact paired measurements decide, and a store
-    whose measurements all lose keeps the incumbent even though its
-    spec stats alone would have suggested a reorder."""
+def test_order_for_replays_measured_prefix_statistics():
+    """A spec's merged statistics derive an order through cost-aware
+    ``suggest_order``: a permutation of the spec's labels, keeping an
+    extending spec's base order as its prefix."""
     module = program("mri-q").fresh_module()
     target = module.get_function("compute_q")
     curated = find_reductions_in_function(target, module,
@@ -625,124 +475,38 @@ def test_measured_orders_supersede_the_replay_heuristic():
         store.merge_stats(name, stats)
     registry = IdiomRegistry()
     replayed = store.spec_orders(registry)
-    assert replayed  # the replay layer does derive something
-    for name in replayed:
+    assert replayed  # the replay does derive something
+    for name, order in replayed.items():
         spec = registry.spec(name)
-        store.merge_order_obs(
-            (name, _transposed(spec.label_order, len(spec.label_order) - 2),
-             "d1s0"),
-            _paired(200, 100),  # the measured candidate loses
-        )
-        assert store.order_for(spec) == spec.label_order
-    assert not any(name in store.spec_orders(registry)
-                   for name in replayed)
-
-
-# -- exploration --------------------------------------------------------------
-
-
-def test_exploration_policy_is_deterministic_and_bounded():
-    policy = ExplorationPolicy(epsilon=0.5, seed=3)
-    draws = [policy.explores("Parboil", "mri-q", f"f{i}")
-             for i in range(64)]
-    assert draws == [policy.explores("Parboil", "mri-q", f"f{i}")
-                     for i in range(64)]
-    assert any(draws) and not all(draws)
-    assert not any(
-        ExplorationPolicy(epsilon=0.0, seed=3).explores("a", "b", f"f{i}")
-        for i in range(64)
-    )
-    assert all(
-        ExplorationPolicy(epsilon=1.0, seed=3).explores("a", "b", f"f{i}")
-        for i in range(64)
-    )
-
-
-def test_explored_run_keeps_the_report_fingerprint_and_records_orders(
-    tmp_path,
-):
-    """The tentpole acceptance in miniature: exploration at ε=0.5 on
-    the Parboil slice records per-order observations, never changes
-    the report fingerprint (digests come from the incumbent run), and
-    the artifact is byte-identical across jobs and granularity."""
-    base = detect_corpus(jobs=1, keys=SMALL)
-    runs = {
-        "serial": detect_corpus(jobs=1, keys=SMALL,
-                                explore=0.5, explore_seed=3),
-        "sharded": detect_corpus(jobs=2, keys=SMALL,
-                                 explore=0.5, explore_seed=3),
-        "functions": detect_corpus(jobs=2, keys=SMALL,
-                                   explore=0.5, explore_seed=3,
-                                   granularity="function"),
-    }
-    blobs = {}
-    for name, report in runs.items():
-        assert report.fingerprint() == base.fingerprint()
-        path = tmp_path / f"{name}.json"
-        save_feedback(feedback_from_report(report), str(path))
-        blobs[name] = path.read_bytes()
-    assert blobs["sharded"] == blobs["serial"]
-    assert blobs["functions"] == blobs["serial"]
-
-    store = feedback_from_report(runs["serial"])
-    assert store.orders  # the seed actually sampled this slice
-    incumbent = IdiomRegistry().current_orders()
-    candidate_rows = 0
-    for (name, order, bucket), obs in store.orders.items():
-        if order == incumbent[name]:
-            # Incumbent rows are self-paired: baseline == measured.
-            assert obs.saving() == 0
-        else:
-            candidate_rows += 1
-            assert obs.functions >= 1
-    assert candidate_rows  # at least one perturbed order was measured
-
-
-def test_order_observations_survive_a_report_json_round_trip(tmp_path):
-    from repro.pipeline import load_report, save_report
-
-    report = detect_corpus(jobs=1, keys=SMALL[:3],
-                           explore=1.0, explore_seed=3)
-    direct = feedback_from_report(report)
-    assert direct.orders
-    path = tmp_path / "report.json"
-    save_report(report, str(path))
-    rebuilt = feedback_from_report(load_report(str(path)))
-    assert rebuilt.orders == direct.orders
-    assert rebuilt.fingerprint() == direct.fingerprint()
-
-
-def test_serving_explores_and_snapshots_order_observations():
-    options = PipelineOptions(jobs=2, granularity="function",
-                              explore=0.5, explore_seed=3)
-    batch = detect_corpus(jobs=1, keys=SMALL)
-    with ServingEngine(options) as engine:
-        report = engine.serve(SMALL)
-        snapshot = engine.feedback_snapshot()
-    assert report.fingerprint() == batch.fingerprint()
-    assert snapshot.orders
-    assert snapshot.fingerprint() == feedback_from_report(
-        detect_corpus(jobs=1, keys=SMALL, explore=0.5, explore_seed=3)
-    ).fingerprint()
+        assert store.order_for(spec) == order
+        assert sorted(order) == sorted(spec.label_order)
+        if spec.base is not None:
+            prefix = spec.base.label_order
+            assert order[:len(prefix)] == prefix
 
 
 # -- artifact versioning ------------------------------------------------------
 
 
-def test_version_2_artifacts_still_load(tmp_path):
-    """An exploration-free artifact downgraded to version 2 loads with
-    a verifying fingerprint — the v3 canonical form collapses to the
-    v2 tuple when no order rows exist."""
-    assert 2 in FEEDBACK_COMPATIBLE_VERSIONS
+def test_version_2_and_3_artifacts_are_rejected(tmp_path):
+    """Only the current version loads: an older artifact fails with
+    its path and the re-record hint, even when its fingerprint would
+    still verify."""
     store = feedback_from_report(detect_corpus(jobs=1, keys=SMALL[:2]))
-    path = tmp_path / "v2.json"
+    path = tmp_path / "fb.json"
     save_feedback(store, str(path))
     data = json.loads(path.read_text())
-    assert "orders" not in data  # the key is omitted, not empty
-    data["version"] = 2
-    path.write_text(json.dumps(data))
-    rebuilt = load_feedback(str(path))
-    assert rebuilt.fingerprint() == store.fingerprint()
+    assert data["version"] == FEEDBACK_VERSION == 4
+    for version in (2, 3):
+        data["version"] = version
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as excinfo:
+            load_feedback(str(path))
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert f"version {version} is not supported" in message
+        assert "hint:" in message
+        assert "re-record the artifact with --save-feedback" in message
 
 
 def test_load_feedback_errors_carry_path_versions_and_hint(tmp_path):
@@ -757,7 +521,7 @@ def test_load_feedback_errors_carry_path_versions_and_hint(tmp_path):
     message = str(excinfo.value)
     assert str(path) in message
     assert "99" in message
-    assert ", ".join(map(str, FEEDBACK_COMPATIBLE_VERSIONS)) in message
+    assert f"expected {FEEDBACK_VERSION}" in message
     assert "hint:" in message
 
     path.write_text("{not json")

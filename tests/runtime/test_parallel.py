@@ -4,6 +4,8 @@ execution for any input and any thread count."""
 
 import math
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -182,3 +184,10 @@ def test_region_records_capture_shards():
         assert len(record.shard_costs) == 8
         assert record.iterations == 100
         assert record.total_work() > 0
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_executor_rejects_threads_below_one(threads):
+    module = compile_source(SOURCE)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        ParallelExecutor(module, [], threads=threads)

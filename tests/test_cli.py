@@ -65,6 +65,30 @@ def test_parallelize_command(source_file, capsys):
     assert "outputs match" in out
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_parallelize_rejects_threads_below_one(source_file, threads, capsys):
+    assert main(["parallelize", source_file, "--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --threads must be >= 1\n"
+    assert "diverged" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("verb", ["corpus", "serve", "gateway"])
+def test_verbs_reject_jobs_below_one(verb, capsys):
+    assert main([verb, "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--timeout", "0"], "error: --timeout must be > 0"),
+    (["--timeout", "-1"], "error: --timeout must be > 0"),
+    (["--connect-retries", "-1"], "error: --connect-retries must be >= 0"),
+])
+def test_submit_rejects_bad_timeout_and_retries(argv, message, capsys):
+    assert main(["submit", "--port", "9", *argv]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_detect_list_idioms_without_file(capsys):
     assert main(["detect", "--list-idioms"]) == 0
     out = capsys.readouterr().out
@@ -304,77 +328,68 @@ def test_lint_strict_promotes_warnings(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def explored_artifact(tmp_path_factory):
-    """A feedback artifact with measured order rows (Parboil slice,
-    ε=0.5, seed=3 — a combination known to sample that slice)."""
+def recorded_artifacts(tmp_path_factory):
+    """Two feedback artifacts of the Parboil slice: one recorded under
+    the curated spec orders, one under the static ``suggest_order``
+    heuristic (different searches, so different statistics)."""
+    from repro.constraints import suggest_order
+    from repro.idioms.registry import IdiomRegistry
     from repro.pipeline import (detect_corpus, feedback_from_report,
                                 save_feedback)
     from repro.workloads import corpus_keys
 
     small = [key for key in corpus_keys() if key[1] == "Parboil"]
-    report = detect_corpus(jobs=1, keys=small, explore=0.5,
-                           explore_seed=3)
-    path = tmp_path_factory.mktemp("feedback") / "explored.json"
-    save_feedback(feedback_from_report(report), str(path))
-    return str(path)
+    static = {entry.name: suggest_order(entry.spec)
+              for entry in IdiomRegistry()}
+    root = tmp_path_factory.mktemp("feedback")
+    paths = []
+    for name, orders in (("curated", None), ("static", static)):
+        report = detect_corpus(jobs=1, keys=small, spec_orders=orders)
+        path = root / f"{name}.json"
+        save_feedback(feedback_from_report(report), str(path))
+        paths.append(str(path))
+    return tuple(paths)
 
 
-def test_feedback_inspect_is_deterministic(explored_artifact, capsys):
-    assert main(["feedback", "inspect", explored_artifact]) == 0
-    first = capsys.readouterr().out
-    assert f"feedback artifact {explored_artifact}" in first
-    assert "fingerprint" in first
-    assert "spec for-loop" in first
-    assert "[incumbent]" in first
-    assert "derive:" in first
-    assert main(["feedback", "inspect", explored_artifact]) == 0
-    assert capsys.readouterr().out == first
+def test_feedback_inspect_is_deterministic(recorded_artifacts, capsys):
+    for artifact in recorded_artifacts:
+        assert main(["feedback", "inspect", artifact]) == 0
+        first = capsys.readouterr().out
+        assert f"feedback artifact {artifact}" in first
+        assert "fingerprint" in first
+        assert "spec for-loop" in first
+        assert "constraint eval(s)" in first
+        assert "derive:" in first
+        assert main(["feedback", "inspect", artifact]) == 0
+        assert capsys.readouterr().out == first
 
 
-def test_feedback_inspect_json(explored_artifact, capsys):
+def test_feedback_inspect_json(recorded_artifacts, capsys):
     import json
 
-    assert main(["feedback", "inspect", explored_artifact, "--json"]) == 0
+    artifact = recorded_artifacts[0]
+    assert main(["feedback", "inspect", artifact, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == 3
-    assert payload["orders"]
+    assert payload["version"] == 4
+    assert payload["specs"]
+    assert "orders" not in payload
     assert "derived_orders" in payload
 
 
-def test_feedback_diff_exit_codes(explored_artifact, tmp_path, capsys):
-    from repro.pipeline import load_feedback, save_feedback
-
-    assert main(["feedback", "diff", explored_artifact,
-                 explored_artifact]) == 0
+def test_feedback_diff_exit_codes(recorded_artifacts, tmp_path, capsys):
+    curated, static = recorded_artifacts
+    assert main(["feedback", "diff", curated, curated]) == 0
     assert "identical:" in capsys.readouterr().out
 
-    decayed = tmp_path / "decayed.json"
-    save_feedback(load_feedback(explored_artifact).decay(0.5),
-                  str(decayed))
-    assert main(["feedback", "diff", explored_artifact,
-                 str(decayed)]) == 1
+    assert main(["feedback", "diff", curated, static]) == 1
     out = capsys.readouterr().out
-    assert f"A {explored_artifact}:" in out
-    assert f"B {decayed}:" in out
+    assert f"A {curated}:" in out
+    assert f"B {static}:" in out
     assert "spec " in out
 
-
-def test_feedback_decay_cli(explored_artifact, tmp_path, capsys):
-    from repro.pipeline import load_feedback
-
-    out_path = tmp_path / "decayed.json"
-    assert main(["feedback", "decay", explored_artifact,
-                 "--keep", "0.5", "--out", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "before:" in out
-    assert "after:" in out
-    original = load_feedback(explored_artifact)
-    decayed = load_feedback(str(out_path))  # verifies its fingerprint
-    assert len(decayed.orders) <= len(original.orders)
-
-    assert main(["feedback", "decay", explored_artifact,
-                 "--keep", "1.5", "--out", str(out_path)]) == 2
-    assert "keep must be within" in capsys.readouterr().err
+    missing = tmp_path / "missing.json"
+    assert main(["feedback", "diff", curated, str(missing)]) == 2
+    assert "cannot load feedback artifact" in capsys.readouterr().err
 
 
 def test_feedback_commands_reject_bad_artifact(tmp_path, capsys):
@@ -385,15 +400,3 @@ def test_feedback_commands_reject_bad_artifact(tmp_path, capsys):
     assert "cannot load feedback artifact" in err
     assert str(bad) in err
     assert "hint:" in err
-
-
-def test_corpus_explore_records_measured_orders(tmp_path, capsys):
-    feedback = tmp_path / "explored.json"
-    assert main(["corpus", "--jobs", "2", "--explore", "0.25",
-                 "--explore-seed", "1",
-                 "--save-feedback", str(feedback)]) == 0
-    out = capsys.readouterr().out
-    assert "feedback saved to" in out
-    assert "measured order(s)" in out
-    assert main(["feedback", "inspect", str(feedback)]) == 0
-    assert "[incumbent]" in capsys.readouterr().out
