@@ -101,6 +101,9 @@ class DominatorTree:
         self.idom = idom
         self._order = order
         self._depth: dict[BasicBlock, int] = {}
+        #: Tree children of every block, in ``order``; built on the
+        #: first :meth:`children` call.
+        self._children: dict[BasicBlock, list[BasicBlock]] | None = None
         for block in order:
             parent = idom.get(block)
             self._depth[block] = 0 if parent is None else self._depth[parent] + 1
@@ -170,8 +173,14 @@ class DominatorTree:
         return a is not b and self.dominates(a, b)
 
     def children(self, block: BasicBlock) -> list[BasicBlock]:
-        """Blocks whose immediate dominator is ``block``."""
-        return [b for b in self._order if self.idom.get(b) is block]
+        """Blocks whose immediate dominator is ``block``, in tree order."""
+        if self._children is None:
+            self._children = {}
+            for child in self._order:
+                parent = self.idom.get(child)
+                if parent is not None:
+                    self._children.setdefault(parent, []).append(child)
+        return list(self._children.get(block, ()))
 
     def depth(self, block: BasicBlock) -> int:
         """Distance from the tree root (virtual root depth 0)."""
@@ -183,11 +192,17 @@ class DominatorTree:
 
 
 def dominance_frontiers(
-    function: Function, tree: DominatorTree | None = None
+    function: Function,
+    tree: DominatorTree | None = None,
+    cfg: CFG | None = None,
 ) -> dict[BasicBlock, set[BasicBlock]]:
-    """Dominance frontier of every reachable block (Cooper et al. style)."""
-    tree = tree or DominatorTree.compute(function)
-    cfg = CFG(function)
+    """Dominance frontier of every reachable block (Cooper et al. style).
+
+    ``cfg`` reuses an already-built graph, as in
+    :meth:`DominatorTree.compute`.
+    """
+    cfg = cfg if cfg is not None else CFG(function)
+    tree = tree if tree is not None else DominatorTree.compute(function, cfg)
     reachable = cfg.reachable()
     frontiers: dict[BasicBlock, set[BasicBlock]] = {b: set() for b in reachable}
     for block in reachable:

@@ -1,4 +1,8 @@
-"""Recursive-descent parser for the mini-C language."""
+"""Recursive-descent parser for the mini-C language.
+
+Statements descend recursively; binary expressions are parsed by
+precedence climbing over one binding-power table (:data:`_LEVELS`).
+"""
 
 from __future__ import annotations
 
@@ -39,6 +43,31 @@ _TYPE_KEYWORDS = {"int": "int", "long": "int", "float": "double",
 
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
 
+#: Binary operators by precedence level, loosest first; an operator's
+#: binding power is its level.
+_LEVELS: tuple[tuple[str, ...], ...] = (
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", "<=", ">", ">="),
+    ("<<", ">>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+)
+_BINDING_POWER = {op: level for level, ops in enumerate(_LEVELS) for op in ops}
+
+#: The deepest nesting the parser accepts, on two counts: statements,
+#: sub-expressions, prefix operators and operator precedence climbs
+#: open at once (bounds the parser's own recursion), and the height of
+#: an expression tree (bounds every recursive walk over it, such as
+#: sema's constant folding and lowering).  Past it, a ParseError at the
+#: offending token; within it, both stay far inside Python's default
+#: recursion limit.
+MAX_DEPTH = 100
+
 
 class ParseError(Exception):
     """Raised on syntax errors with source position."""
@@ -55,6 +84,10 @@ class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.position = 0
+        #: Constructs open at once; see :data:`MAX_DEPTH`.
+        self._nesting = 0
+        #: Height of every expression node above a leaf, by ``id``.
+        self._heights: dict[int, int] = {}
 
     # -- token helpers ------------------------------------------------------
 
@@ -85,6 +118,28 @@ class Parser:
     def at_type(self, offset: int = 0) -> bool:
         token = self.peek(offset) if offset else self.current
         return token.kind == "keyword" and token.text in _TYPE_KEYWORDS
+
+    # -- nesting limits --------------------------------------------------------
+
+    def _enter(self, token: Token) -> None:
+        """Open one nesting level at ``token``; the caller closes it
+        by decrementing ``_nesting``."""
+        self._nesting += 1
+        if self._nesting > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", token)
+
+    def _tree(self, node: Expr, token: Token, *children: Expr) -> Expr:
+        """Record the height of ``node`` over ``children``."""
+        heights = self._heights
+        height = 1 + max(
+            [heights.get(id(child), 1) for child in children], default=1
+        )
+        if height > MAX_DEPTH:
+            raise ParseError(
+                f"expression deeper than {MAX_DEPTH} levels", token
+            )
+        heights[id(node)] = height
+        return node
 
     # -- top level -----------------------------------------------------------
 
@@ -181,6 +236,12 @@ class Parser:
         return Block(statements, line=start.line)
 
     def parse_statement(self) -> Stmt:
+        self._enter(self.current)
+        statement = self._parse_statement()
+        self._nesting -= 1
+        return statement
+
+    def _parse_statement(self) -> Stmt:
         token = self.current
         if token.is_op("{"):
             return self.parse_block()
@@ -270,14 +331,14 @@ class Parser:
             ctype = CType(base.base, base.pointer, tuple(dims))
             return VarDecl(name.text, ctype, init, line=token.line)
         expr = self.parse_expr()
-        for op in _ASSIGN_OPS:
-            if self.current.is_op(op):
-                self.advance()
-                value = self.parse_expr()
-                _require_lvalue(expr, self.current)
-                return Assign(expr, op, value, line=token.line)
-        if self.current.is_op("++") or self.current.is_op("--"):
-            op_token = self.advance()
+        op_token = self.current
+        if op_token.kind == "op" and op_token.text in _ASSIGN_OPS:
+            self.advance()
+            value = self.parse_expr()
+            _require_lvalue(expr, self.current)
+            return Assign(expr, op_token.text, value, line=token.line)
+        if op_token.is_op("++") or op_token.is_op("--"):
+            self.advance()
             _require_lvalue(expr, op_token)
             return IncDec(expr, op_token.text, line=token.line)
         return ExprStmt(expr, line=token.line)
@@ -286,7 +347,10 @@ class Parser:
 
     def parse_expr(self) -> Expr:
         """Parse a full (non-assignment) expression."""
-        return self.parse_ternary()
+        self._enter(self.current)
+        expr = self.parse_ternary()
+        self._nesting -= 1
+        return expr
 
     def parse_ternary(self) -> Expr:
         cond = self.parse_binary(0)
@@ -294,57 +358,76 @@ class Parser:
             token = self.advance()
             if_true = self.parse_expr()
             self.expect_op(":")
+            self._enter(token)
             if_false = self.parse_ternary()
-            return Ternary(cond, if_true, if_false, line=token.line)
+            self._nesting -= 1
+            return self._tree(
+                Ternary(cond, if_true, if_false, line=token.line),
+                token, cond, if_true, if_false,
+            )
         return cond
 
-    _LEVELS: list[tuple[str, ...]] = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
+    def parse_binary(self, min_power: int) -> Expr:
+        """Operators binding at least ``min_power``, left-associative.
 
-    def parse_binary(self, level: int) -> Expr:
-        if level >= len(self._LEVELS):
-            return self.parse_unary()
-        expr = self.parse_binary(level + 1)
-        ops = self._LEVELS[level]
-        while self.current.kind == "op" and self.current.text in ops:
-            token = self.advance()
-            rhs = self.parse_binary(level + 1)
+        One loop folds every operator of the loosest level present
+        into the left operand; only a tighter-binding right operand
+        recurses.
+        """
+        expr = self.parse_unary()
+        tokens = self.tokens
+        heights = self._heights
+        height = heights.get(id(expr), 1)
+        while True:
+            token = tokens[self.position]
+            if token.kind != "op":
+                return expr
+            power = _BINDING_POWER.get(token.text, -1)
+            if power < min_power:
+                return expr
+            self.position += 1
+            self._enter(token)
+            rhs = self.parse_binary(power + 1)
+            self._nesting -= 1
+            height = max(height, heights.get(id(rhs), 1)) + 1
+            if height > MAX_DEPTH:
+                raise ParseError(
+                    f"expression deeper than {MAX_DEPTH} levels", token
+                )
             expr = Binary(token.text, expr, rhs, line=token.line)
-        return expr
+            heights[id(expr)] = height
 
     def parse_unary(self) -> Expr:
         token = self.current
         if token.kind == "op" and token.text in ("-", "!", "~"):
             self.advance()
+            self._enter(token)
             operand = self.parse_unary()
-            return Unary(token.text, operand, line=token.line)
+            self._nesting -= 1
+            return self._tree(Unary(token.text, operand, line=token.line),
+                              token, operand)
         if token.is_op("(") and self.at_type(1):
             self.advance()
             target = self.parse_base_type()
             self.expect_op(")")
+            self._enter(token)
             operand = self.parse_unary()
-            return CastExpr(target, operand, line=token.line)
+            self._nesting -= 1
+            return self._tree(CastExpr(target, operand, line=token.line),
+                              token, operand)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_primary()
         while self.current.is_op("["):
+            token = self.current
             indices: list[Expr] = []
             while self.current.is_op("["):
                 self.advance()
                 indices.append(self.parse_expr())
                 self.expect_op("]")
-            expr = Index(expr, indices, line=self.current.line)
+            expr = self._tree(Index(expr, indices, line=self.current.line),
+                              token, expr, *indices)
         return expr
 
     def parse_primary(self) -> Expr:
@@ -368,7 +451,8 @@ class Parser:
                             continue
                         break
                 self.expect_op(")")
-                return Call(token.text, args, line=token.line)
+                return self._tree(Call(token.text, args, line=token.line),
+                                  token, *args)
             return Var(token.text, line=token.line)
         if token.is_op("("):
             self.advance()

@@ -126,15 +126,34 @@ def find_reductions(
     module: Module,
     registry: IdiomRegistry | None = None,
 ) -> DetectionReport:
-    """Detect reductions in every defined function of ``module``."""
+    """Detect reductions in every defined function of ``module``.
+
+    Each function's fresh solver context is left on the function
+    (:attr:`~repro.ir.function.Function.solver_handoff`), stamped with
+    :func:`module_stamp`, for
+    :func:`~repro.idioms.extensions.find_extended_reductions` to reuse.
+    """
     report = DetectionReport(module.name)
+    stamp = module_stamp(module)
     started = time.perf_counter()
     for function in module.defined_functions():
-        report.functions.append(
-            find_reductions_in_function(function, module, registry=registry)
-        )
+        found = find_reductions_in_function(function, module, registry=registry)
+        function.solver_handoff = (found.solver_context, stamp)
+        report.functions.append(found)
     report.solve_seconds = time.perf_counter() - started
     return report
+
+
+def module_stamp(module: Module) -> tuple:
+    """Every function of ``module`` with its mutation epoch and purity
+    flag.  Equal stamps mean no function was added, removed, mutated
+    or re-flagged in between, so a solver context built at the first
+    still describes the module at the second."""
+    return tuple(
+        (function, function.epoch, function.pure)
+        for function in module.functions.values()
+    )
+
 
 
 def find_for_loops(

@@ -26,12 +26,15 @@ same named predicate atoms (:mod:`repro.constraints.predicates`) and
 tests compare them solution-for-solution.
 
 :func:`find_extended_reductions` runs all three on a module;
-:func:`find_extended_in_function` is the per-function entry the
-pipeline uses so extension specs share one function's
-:class:`~repro.constraints.SolverContext` (and therefore its solved
-for-loop prefix) with the base detection.  The default
-:func:`~repro.idioms.detect.find_reductions` driver is left untouched
-so the paper-faithful counts of Figure 8 stay exact.
+:func:`find_extended_in_function` runs them on one function.  Both
+share one function's :class:`~repro.constraints.SolverContext` (and
+therefore its solved for-loop prefix) with the base detection: the
+pipeline passes the context explicitly, and
+:func:`find_extended_reductions` reuses the one
+:func:`~repro.idioms.detect.find_reductions` left on each function
+while the module's mutation epochs are unchanged.  The base detection
+itself always starts from a fresh context, so the paper-faithful
+counts of Figure 8 stay exact.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from ..ir.function import Function
 from ..ir.instructions import PhiInst
 from ..ir.module import Module
 from ..ir.values import Value
+from .detect import module_stamp
 from .forloop import FOR_LOOP_LABEL_ORDER, for_loop_constraint, loop_invariant_in
 from .postprocess import classify_update
 from .reports import ReductionOp
@@ -258,7 +262,7 @@ class FunctionExtensions:
     argminmax: list[ArgMinMaxMatch] = field(default_factory=list)
     nested_array: list[NestedArrayReduction] = field(default_factory=list)
     #: The solver context detection ran with (possibly shared with the
-    #: base detection — see the pipeline).
+    #: base detection — see :func:`find_extended_reductions`).
     solver_context: SolverContext | None = None
 
 
@@ -298,8 +302,9 @@ def find_extended_in_function(
     Specs resolve through the registry (the shipped ``.icsl`` files by
     default).  Passing the ``ctx`` the base detection already built
     shares every cached analysis *and* the solved for-loop prefix with
-    the scalar/histogram searches — the pipeline's cache-sharing path.
-    ``spec_stats`` collects each extension spec's search effort under
+    the scalar/histogram searches, as the pipeline worker and
+    :func:`find_extended_reductions` do; without ``ctx`` the search
+    runs on a fresh context.  ``spec_stats`` collects each extension spec's search effort under
     its own name (the solver feedback store's per-spec signal) in
     addition to the ``stats`` aggregate.
     """
@@ -367,10 +372,23 @@ def find_extended_in_function(
 def find_extended_reductions(
     module: Module, registry=None
 ) -> ExtendedReport:
-    """Run the three extension idioms over every defined function."""
+    """Run the three extension idioms over every defined function.
+
+    A function's search runs on the solver context
+    :func:`~repro.idioms.detect.find_reductions` left on it when that
+    context was built for ``module`` and the module stamp is unchanged
+    (no function added, removed, mutated or re-flagged since), so the
+    solved for-loop base and every analysis are reused; otherwise on a
+    fresh context.
+    """
     report = ExtendedReport(module.name)
+    stamp = module_stamp(module)
     for function in module.defined_functions():
-        report.extend(
-            find_extended_in_function(function, module, registry=registry)
-        )
+        ctx = None
+        if function.solver_handoff is not None:
+            handed, handed_stamp = function.solver_handoff
+            if handed.module is module and handed_stamp == stamp:
+                ctx = handed
+        report.extend(find_extended_in_function(
+            function, module, registry=registry, ctx=ctx))
     return report

@@ -35,6 +35,8 @@ class BasicBlock(Value):
             raise ValueError(f"block {self.name} is already terminated")
         instruction.parent = self
         self.instructions.append(instruction)
+        if self.parent is not None:
+            self.parent.epoch += 1
         return instruction
 
     def insert(self, index: int, instruction: Instruction) -> Instruction:
@@ -43,12 +45,16 @@ class BasicBlock(Value):
             raise ValueError(f"{instruction} already belongs to a block")
         instruction.parent = self
         self.instructions.insert(index, instruction)
+        if self.parent is not None:
+            self.parent.epoch += 1
         return instruction
 
     def remove(self, instruction: Instruction) -> None:
         """Detach ``instruction`` from this block (uses are untouched)."""
         self.instructions.remove(instruction)
         instruction.parent = None
+        if self.parent is not None:
+            self.parent.epoch += 1
 
     @property
     def terminator(self) -> Instruction | None:

@@ -21,6 +21,11 @@ class Function(Value):
     effects, the property the reduction specifications check for calls
     inside the reduction scope (§2: *"all the function calls that are
     present are pure"*).
+
+    ``epoch`` counts mutations: every block, instruction or operand
+    change made through the IR's methods bumps it, so a cached
+    analysis stamped with an epoch can tell whether it is still
+    current.
     """
 
     def __init__(
@@ -34,6 +39,13 @@ class Function(Value):
         self.blocks: list[BasicBlock] = []
         self.pure = pure
         self.parent: "Module | None" = None
+        #: Mutation counter; see the class docstring.
+        self.epoch = 0
+        #: ``(SolverContext, module stamp)`` left by the last
+        #: ``find_reductions(module)``; ``find_extended_reductions``
+        #: reuses the context while the stamp
+        #: (:func:`repro.idioms.detect.module_stamp`) still holds.
+        self.solver_handoff: tuple | None = None
         names = param_names or [f"arg{i}" for i in range(len(type.param_types))]
         if len(names) != len(type.param_types):
             raise ValueError("parameter name/type count mismatch")
@@ -68,6 +80,7 @@ class Function(Value):
         if block.parent is not None:
             raise ValueError(f"{block} already belongs to a function")
         block.parent = self
+        self.epoch += 1
         existing = {b.name for b in self.blocks}
         if not block.name or block.name in existing:
             base = block.name or "bb"

@@ -88,17 +88,28 @@ class Instruction(Value):
         old.remove_use(self, index)
         self._operands[index] = value
         value.add_use(self, index)
+        self._bump_epoch()
 
     def _append_operand(self, value: Value) -> None:
         index = len(self._operands)
         self._operands.append(value)
         value.add_use(self, index)
+        if self.parent is not None:
+            self._bump_epoch()
 
     def _pop_operands(self, count: int) -> None:
         for _ in range(count):
             index = len(self._operands) - 1
             self._operands[index].remove_use(self, index)
             self._operands.pop()
+        if count:
+            self._bump_epoch()
+
+    def _bump_epoch(self) -> None:
+        """Count an operand change against the containing function."""
+        block = self.parent
+        if block is not None and block.parent is not None:
+            block.parent.epoch += 1
 
     def drop_all_references(self) -> None:
         """Detach this instruction from its operands (before deletion)."""

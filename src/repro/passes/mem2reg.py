@@ -47,8 +47,12 @@ def promote_allocas(function: Function) -> int:
     allocas = promotable_allocas(function)
     if not allocas:
         return 0
-    tree = DominatorTree.compute(function)
-    frontiers = dominance_frontiers(function, tree)
+    # One graph serves the tree, the frontiers and the renaming walk:
+    # the CFG depends only on terminators, which PHI placement and
+    # renaming never touch.
+    cfg = CFG(function)
+    tree = DominatorTree.compute(function, cfg)
+    frontiers = dominance_frontiers(function, tree, cfg)
     reachable = set(tree.blocks())
 
     phi_owner: dict[int, AllocaInst] = {}
@@ -80,8 +84,6 @@ def promote_allocas(function: Function) -> int:
             cached = UndefValue(alloca.allocated_type)
             undef_cache[id(alloca)] = cached
         return cached
-
-    cfg = CFG(function)
 
     def rename(block: BasicBlock, values: dict[int, Value]) -> None:
         values = dict(values)

@@ -20,6 +20,8 @@ def remove_unreachable_blocks(function: Function) -> int:
     for block in dead:
         function.blocks.remove(block)
         block.parent = None
+    if dead:
+        function.epoch += 1
     return len(dead)
 
 
@@ -65,6 +67,7 @@ def merge_straightline_blocks(function: Function) -> int:
             successor.replace_all_uses_with(block)
             function.blocks.remove(successor)
             successor.parent = None
+            function.epoch += 1
             merged += 1
     return merged
 

@@ -130,9 +130,6 @@ class FeedbackStore:
 
     # -- consumption ------------------------------------------------------
 
-    def stats_for(self, name: str) -> SolverStats | None:
-        return self.specs.get(name)
-
     def order_for(self, spec: IdiomSpec) -> tuple[str, ...] | None:
         """The feedback-suggested enumeration order for ``spec``.
 

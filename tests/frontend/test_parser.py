@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.frontend import ParseError, parse
+from repro.frontend import ParseError, compile_source, parse
 from repro.frontend.ast_nodes import (
     Assign,
     Binary,
@@ -20,6 +20,7 @@ from repro.frontend.ast_nodes import (
     Var,
     While,
 )
+from repro.frontend.parser import MAX_DEPTH
 
 
 def _single_function(source):
@@ -156,3 +157,47 @@ def test_empty_statement_allowed():
 def test_declaration_only_function():
     program = parse("double sin2(double x);")
     assert program.functions[0].body is None
+
+
+#: Sources nesting one construct ``n`` levels deep.
+NESTED = {
+    "parentheses": lambda n: f"a = {'(' * n}a{')' * n};",
+    "sum": lambda n: "a = " + " + ".join(["a"] * n) + ";",
+    # Each level opens two: an operand climb and a parenthesis.
+    "right-nested sum": lambda n: f"a = {'a + (' * (n // 2)}a"
+                                  f"{')' * (n // 2)};",
+    "negation": lambda n: "a = " + "- " * n + "a;",
+    "not in a condition": lambda n: f"if ({'!' * n}a) a = 1;",
+    "casts": lambda n: "a = " + "(int) " * n + "a;",
+    "ternary chain": lambda n: "a = " + "a ? 1 : " * n + "0;",
+    "subscripts": lambda n: f"a = {'b[' * n}0{']' * n};",
+    "calls": lambda n: f"a = {'f(' * n}a{')' * n};",
+    "conjunction": lambda n: "if (" + " && ".join(["a"] * n) + ") a = 1;",
+    "blocks": lambda n: "{" * n + "a = 1;" + "}" * n,
+    "ifs": lambda n: "if (a) " * n + "a = 1;",
+    "loops": lambda n: "".join(
+        f"for (int i{k} = 0; i{k} < 2; i{k}++) " for k in range(n)
+    ) + "a = a + 1;",
+}
+
+
+def _nested_program(body: str) -> str:
+    return ("int a; int b[4]; int f(int x) { return x; }\n"
+            f"int main(void) {{ {body} return 0; }}")
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+def test_nesting_within_the_limit_compiles(kind):
+    compile_source(_nested_program(NESTED[kind](MAX_DEPTH - 10)))
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 20, 2000])
+def test_nesting_past_the_limit_is_a_parse_error(kind, depth):
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse(_nested_program(NESTED[kind](depth)))
+
+
+def test_seventy_nested_parentheses_parse():
+    fn = _single_function(f"int f(int a) {{ return {'(' * 70}a{')' * 70}; }}")
+    assert fn.body.statements[0].value.name == "a"

@@ -219,6 +219,13 @@ BAD_SOURCES = [
      ": function 'f' already defined"),
     ("int main(void) { return y; }", ": unknown variable 'y'"),
     ("int main(void) { break; return 0; }", ": break outside of a loop"),
+    # Nesting past the parser's limit: 120 parentheses, and a 900-term
+    # sum whose left-leaning tree is 900 levels high.  Both used to
+    # overflow Python's recursion limit (parser, lowering).
+    ("int a; int main(void) { a = " + "(" * 120 + "a" + ")" * 120
+     + "; return 0; }", ":1:128: nesting deeper than 100 levels"),
+    ("int a; int main(void) { a = " + " + ".join(["a"] * 900)
+     + "; return 0; }", ":1:427: expression deeper than 100 levels"),
 ]
 
 

@@ -16,11 +16,7 @@ A digest that moves is a behaviour change: find out why rather than
 re-pinning it.
 """
 
-import functools
 import hashlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -41,28 +37,6 @@ GENERATED_IR_DIGESTS = {
     4242: "39cb66ea8eea899873d78d98ad5456a68ae527d9d506ba6c044fcca3b6ba0518",
 }
 
-GENERATOR_PATH = Path(__file__).resolve().parents[1] / "perfbench" / \
-    "generator.py"
-
-
-@functools.cache
-def load_generator():
-    """``perfbench/generator.py`` as a module, without touching
-    ``sys.path`` or writing bytecode next to it."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_generator", GENERATOR_PATH)
-    module = importlib.util.module_from_spec(spec)
-    # ``dataclasses`` resolves the module through ``sys.modules``.
-    sys.modules[spec.name] = module
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
-
-
 def ir_digest(programs) -> str:
     return hashlib.sha256("".join(
         print_module(compile_source(p.source, p.name)) for p in programs
@@ -80,6 +54,6 @@ def test_corpus_ir_digest_is_pinned():
 
 
 @pytest.mark.parametrize("seed", sorted(GENERATED_IR_DIGESTS))
-def test_generated_ir_digest_is_pinned(seed):
-    programs = load_generator().generate(seed)
+def test_generated_ir_digest_is_pinned(generator, seed):
+    programs = generator.generate(seed)
     assert ir_digest(programs) == GENERATED_IR_DIGESTS[seed]
