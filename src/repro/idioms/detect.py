@@ -155,7 +155,6 @@ def module_stamp(module: Module) -> tuple:
     )
 
 
-
 def find_for_loops(
     function: Function,
     module: Module | None = None,

@@ -304,9 +304,9 @@ def find_extended_in_function(
     shares every cached analysis *and* the solved for-loop prefix with
     the scalar/histogram searches, as the pipeline worker and
     :func:`find_extended_reductions` do; without ``ctx`` the search
-    runs on a fresh context.  ``spec_stats`` collects each extension spec's search effort under
-    its own name (the solver feedback store's per-spec signal) in
-    addition to the ``stats`` aggregate.
+    runs on a fresh context.  ``spec_stats`` collects each extension
+    spec's search effort under its own name (the solver feedback
+    store's per-spec signal) in addition to the ``stats`` aggregate.
     """
     from .registry import default_registry
 
@@ -379,14 +379,18 @@ def find_extended_reductions(
     context was built for ``module`` and the module stamp is unchanged
     (no function added, removed, mutated or re-flagged since), so the
     solved for-loop base and every analysis are reused; otherwise on a
-    fresh context.
+    fresh context.  Either way the hand-off is taken off the function:
+    the function no longer keeps the context alive, so it is freed with
+    the detection report that owns it rather than by a later cycle
+    collection.
     """
     report = ExtendedReport(module.name)
     stamp = module_stamp(module)
     for function in module.defined_functions():
         ctx = None
-        if function.solver_handoff is not None:
-            handed, handed_stamp = function.solver_handoff
+        handoff, function.solver_handoff = function.solver_handoff, None
+        if handoff is not None:
+            handed, handed_stamp = handoff
             if handed.module is module and handed_stamp == stamp:
                 ctx = handed
         report.extend(find_extended_in_function(

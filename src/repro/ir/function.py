@@ -43,7 +43,7 @@ class Function(Value):
         self.epoch = 0
         #: ``(SolverContext, module stamp)`` left by the last
         #: ``find_reductions(module)``; ``find_extended_reductions``
-        #: reuses the context while the stamp
+        #: takes it off and reuses the context if the stamp
         #: (:func:`repro.idioms.detect.module_stamp`) still holds.
         self.solver_handoff: tuple | None = None
         names = param_names or [f"arg{i}" for i in range(len(type.param_types))]

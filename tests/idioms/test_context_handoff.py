@@ -90,6 +90,8 @@ def test_extension_reuses_an_unchanged_context(built):
     find_reductions(module)
     report = find_extended_reductions(module)
     assert built == []
+    # Taken off: the function no longer keeps the context alive.
+    assert all(f.solver_handoff is None for f in module.functions.values())
     assert names(report) == names(fresh_extended(module))
     assert len(names(report)[0]) == 1  # the dot product
 
@@ -103,8 +105,9 @@ def test_extension_without_detection_builds_fresh_contexts(built):
 def test_a_mutation_after_detection_forces_fresh_contexts(built):
     module = compile_source(SOURCE, "m")
     find_reductions(module)
-    before = names(find_extended_reductions(module))
+    before = names(fresh_extended(module))
     assert len(before[0]) == 1
+    built.clear()
     # Make the product square ``a[i]``: no longer a dot product of two
     # distinct arrays.
     dot = module.get_function("dot")
@@ -145,12 +148,26 @@ def test_a_context_built_for_another_module_is_not_reused(built):
 def test_contexts_do_not_outlive_their_module():
     module = compile_source(SOURCE, "m")
     find_reductions(module)
-    find_extended_reductions(module)
     refs = [weakref.ref(f.solver_handoff[0])
             for f in module.defined_functions()]
     del module
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_after_extension_the_report_alone_keeps_the_contexts():
+    """Dropping the detection report frees the contexts at once, with
+    no cycle collection: the hand-off is gone from the functions."""
+    module = compile_source(SOURCE, "m")
+    report = find_reductions(module)
+    find_extended_reductions(module)
+    refs = [weakref.ref(found.solver_context) for found in report.functions]
+    gc.disable()
+    try:
+        del report
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def _assert_reuse_matches_fresh(programs):
