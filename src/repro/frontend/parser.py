@@ -126,18 +126,18 @@ class Parser:
         by decrementing ``_nesting``."""
         self._nesting += 1
         if self._nesting > MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", token)
+            raise _too_deep("nesting", token)
 
     def _tree(self, node: Expr, token: Token, *children: Expr) -> Expr:
         """Record the height of ``node`` over ``children``."""
         heights = self._heights
-        height = 1 + max(
-            [heights.get(id(child), 1) for child in children], default=1
-        )
+        height = 1
+        for child in children:
+            below = heights.get(id(child), 1)
+            if below >= height:
+                height = below + 1
         if height > MAX_DEPTH:
-            raise ParseError(
-                f"expression deeper than {MAX_DEPTH} levels", token
-            )
+            raise _too_deep("expression", token)
         heights[id(node)] = height
         return node
 
@@ -347,7 +347,9 @@ class Parser:
 
     def parse_expr(self) -> Expr:
         """Parse a full (non-assignment) expression."""
-        self._enter(self.current)
+        self._nesting += 1
+        if self._nesting > MAX_DEPTH:
+            raise _too_deep("nesting", self.current)
         expr = self.parse_ternary()
         self._nesting -= 1
         return expr
@@ -386,14 +388,14 @@ class Parser:
             if power < min_power:
                 return expr
             self.position += 1
-            self._enter(token)
+            self._nesting += 1
+            if self._nesting > MAX_DEPTH:
+                raise _too_deep("nesting", token)
             rhs = self.parse_binary(power + 1)
             self._nesting -= 1
             height = max(height, heights.get(id(rhs), 1)) + 1
             if height > MAX_DEPTH:
-                raise ParseError(
-                    f"expression deeper than {MAX_DEPTH} levels", token
-                )
+                raise _too_deep("expression", token)
             expr = Binary(token.text, expr, rhs, line=token.line)
             heights[id(expr)] = height
 
@@ -460,6 +462,10 @@ class Parser:
             self.expect_op(")")
             return expr
         raise ParseError("expected expression", token)
+
+
+def _too_deep(what: str, token: Token) -> ParseError:
+    return ParseError(f"{what} deeper than {MAX_DEPTH} levels", token)
 
 
 def _require_lvalue(expr: Expr, token: Token) -> None:
