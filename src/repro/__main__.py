@@ -39,7 +39,10 @@ Commands
     Run detection over the built-in 40-program corpus through the
     batched pipeline and print the Figure 8 panels.  ``--jobs N``
     serves the work on N worker processes (the merged report is
-    identical to the serial one); ``--extended`` also runs the §8
+    identical to the serial one); the default is one worker per CPU
+    this process may run on (``repro.pipeline.default_jobs``), and
+    one worker (or one work unit) runs in-process, so ``--jobs 1``
+    forces the serial path; ``--extended`` also runs the §8
     extension idioms; ``--granularity function`` ships
     ``(program, function)`` units so one giant module cannot serialize
     the run; work units are served heaviest-first by a static size
@@ -375,9 +378,10 @@ def _cmd_parallelize(args) -> int:
 
 def _cmd_corpus(args) -> int:
     from .evaluation.discovery import run_discovery, summary_against_paper
-    from .pipeline import detect_corpus
+    from .pipeline import default_jobs, detect_corpus
 
-    if args.jobs < 1:
+    jobs = default_jobs() if args.jobs is None else args.jobs
+    if jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
     # Resolve the feedback artifact up front through the one shared
@@ -397,7 +401,7 @@ def _cmd_corpus(args) -> int:
         feedback_orders = resolved.spec_orders
     # One pipeline run feeds both the Figure 8 panels and the
     # extension listing.
-    report = detect_corpus(jobs=args.jobs, baselines=True,
+    report = detect_corpus(jobs=jobs, baselines=True,
                            extended=args.extended,
                            granularity=args.granularity,
                            spec_orders=feedback_orders)
@@ -865,8 +869,10 @@ def main(argv: list[str] | None = None) -> int:
 
     corpus_cmd = commands.add_parser("corpus",
                                      help="Figure 8 over the corpus")
-    corpus_cmd.add_argument("--jobs", type=int, default=1,
-                            help="worker processes for the pipeline")
+    corpus_cmd.add_argument("--jobs", type=int, default=None,
+                            help="worker processes for the pipeline "
+                                 "(default: the usable CPUs; 1 runs "
+                                 "in-process)")
     corpus_cmd.add_argument("--extended", action="store_true",
                             help="also run the extension idioms")
     corpus_cmd.add_argument("--granularity",

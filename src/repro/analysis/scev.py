@@ -228,7 +228,7 @@ class ScalarEvolution:
         if block is None:
             return None
         loop = self.loop_info.loop_with_header(block)
-        if loop is None or len(phi.incoming) != 2:
+        if loop is None or phi.incoming_count != 2:
             return None
         init = None
         next_value = None

@@ -118,7 +118,7 @@ def _analyze_loop(function: Function, loop: Loop,
     reductions = []
     iterator = bounds.iterator
     for phi in loop.header.phis():
-        if phi is iterator or len(phi.incoming) != 2:
+        if phi is iterator or phi.incoming_count != 2:
             continue
         update = None
         for value, pred in phi.incoming:

@@ -69,7 +69,7 @@ def _analyze_function(function: Function) -> list[str]:
         if conditionals > 1:
             continue
         for phi in loop.header.phis():
-            if phi is bounds.iterator or len(phi.incoming) != 2:
+            if phi is bounds.iterator or phi.incoming_count != 2:
                 continue
             update = None
             for value, pred in phi.incoming:

@@ -207,7 +207,7 @@ def _scalar_reductions_in(loop: Loop, scev: ScalarEvolution) -> list[str]:
     bounds = scev.loop_bounds(loop)
     iterator = bounds.iterator if bounds is not None else None
     for phi in loop.header.phis():
-        if phi is iterator or len(phi.incoming) != 2:
+        if phi is iterator or phi.incoming_count != 2:
             continue
         update = None
         for value, pred in phi.incoming:

@@ -630,7 +630,7 @@ class PhiOfTwo(Constraint):
 
     def check(self, ctx, assignment):
         x = assignment[self.labels[0]]
-        if not isinstance(x, PhiInst) or len(x.incoming) != 2:
+        if not isinstance(x, PhiInst) or x.incoming_count != 2:
             return False
         values = x.incoming_values()
         a = assignment[self.labels[1]]
@@ -643,7 +643,7 @@ class PhiOfTwo(Constraint):
         x = assignment.get(self.labels[0])
         if x is None:
             return True
-        if not isinstance(x, PhiInst) or len(x.incoming) != 2:
+        if not isinstance(x, PhiInst) or x.incoming_count != 2:
             return False
         if all(label in assignment for label in self.labels[1:]):
             # Fully bound: the verdict must be exact — the solver never
@@ -704,11 +704,11 @@ class PhiOfTwo(Constraint):
             return [
                 p
                 for p in ctx.instructions_with_opcode("phi")
-                if len(p.incoming) == 2
+                if p.incoming_count == 2
             ]
         if x_label in assignment:
             x = assignment[x_label]
-            if isinstance(x, PhiInst) and len(x.incoming) == 2:
+            if isinstance(x, PhiInst) and x.incoming_count == 2:
                 return x.incoming_values()
             return []
         return None

@@ -316,6 +316,11 @@ class PhiInst(Instruction):
         ops = self._operands
         return list(zip(ops[::2], ops[1::2]))
 
+    @property
+    def incoming_count(self) -> int:
+        """``len(self.incoming)`` without building the pair list."""
+        return len(self._operands) // 2
+
     def incoming_for_block(self, block: "BasicBlock") -> Value:
         """Return the value flowing in from predecessor ``block``."""
         for value, pred in self.incoming:

@@ -51,6 +51,7 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     "PipelineOptions": "options",
+    "default_jobs": "options",
     "ServingEngine": "serving",
     "ServingJob": "serving",
     "JobClass": "serving",

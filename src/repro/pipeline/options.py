@@ -8,7 +8,27 @@ spec *paths*, not loaded registries; each worker builds its own
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+
+
+def default_jobs() -> int:
+    """Worker processes for a one-off corpus sweep: the usable CPUs.
+
+    The CPUs this process may run on (its affinity mask, which a
+    container's CPU set or ``taskset`` narrows) where the platform
+    exposes it, else every CPU the machine reports, and never fewer
+    than 1.  Only the ``corpus`` verb uses this as its ``--jobs``
+    default: its workers live for one sweep.  Long-lived pools
+    (``serve``, ``gateway``) keep a module cache per worker, so their
+    size stays a fixed default.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        usable = len(getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return max(1, usable)
 
 
 @dataclass(frozen=True)

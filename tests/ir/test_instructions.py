@@ -93,8 +93,11 @@ def test_phi_incoming_api():
     block_a = BasicBlock("a")
     block_b = BasicBlock("b")
     phi = PhiInst(INT64)
+    assert phi.incoming_count == 0
     phi.add_incoming(const_int(1), block_a)
     phi.add_incoming(const_int(2), block_b)
+    assert phi.incoming_count == len(phi.incoming) == 2
+    assert phi.incoming is not phi.incoming  # a fresh list per call
     assert phi.incoming_values()[0].value == 1
     assert phi.incoming_for_block(block_b).value == 2
     with pytest.raises(KeyError):

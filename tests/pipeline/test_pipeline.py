@@ -165,16 +165,33 @@ def test_options_validate_cache_and_budget_bounds():
         PipelineOptions(gateway_unit_budget=0)
 
 
+def test_default_jobs_counts_the_usable_cpus(monkeypatch):
+    import os
+
+    from repro.pipeline import default_jobs
+
+    for mask, expected in (({0}, 1), ({0, 1, 2}, 3), (set(), 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask,
+                            raising=False)
+        assert default_jobs() == expected
+    # Without an affinity call, every CPU the machine reports counts.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, expected in ((4, 4), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert default_jobs() == expected
+
+
 def test_bounded_module_cache_never_changes_digests():
     """Eviction is recompute cost only: the tightest possible cache
     (one module per worker) produces byte-identical digests."""
     from repro.pipeline import ServingEngine
 
     serial = detect_corpus(jobs=1, keys=KEYS[:4])
-    bounded = ServingEngine(
+    with ServingEngine(
         PipelineOptions(jobs=2, granularity="function",
                         module_cache_size=1)
-    ).serve(KEYS[:4])
+    ) as engine:
+        bounded = engine.serve(KEYS[:4])
     assert bounded.programs == serial.programs
     assert bounded.fingerprint() == serial.fingerprint()
 
@@ -261,6 +278,29 @@ def test_report_json_round_trip_preserves_fingerprint():
     assert rebuilt.fingerprint() == report.fingerprint()
     # Timing metadata (excluded from the fingerprint) survives too.
     for original, copied in zip(report.programs, rebuilt.programs):
+        assert copied.stage_seconds == original.stage_seconds
+
+
+def test_saved_report_file_round_trips(tmp_path):
+    """``save_report`` writes one compact line that ``load_report``
+    reads back to the same report, fingerprint verified."""
+    import json
+
+    from repro.pipeline import load_report, save_report
+
+    report = detect_corpus(jobs=1, extended=True, baselines=True,
+                           keys=KEYS[:4])
+    path = tmp_path / "report.json"
+    save_report(report, str(path))
+    text = path.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert json.loads(text) == report_to_json(report)
+    loaded = load_report(str(path))
+    assert loaded.programs == report.programs
+    assert loaded.fingerprint() == report.fingerprint()
+    assert (loaded.jobs, loaded.wall_seconds, loaded.failures) \
+        == (report.jobs, report.wall_seconds, report.failures)
+    for original, copied in zip(report.programs, loaded.programs):
         assert copied.stage_seconds == original.stage_seconds
 
 

@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command line interface."""
 
+import multiprocessing
+import os
+import re
 import subprocess
 import sys
 
@@ -122,6 +125,63 @@ def test_corpus_command_with_jobs_and_extended(capsys):
     assert "paper vs measured" in out
     assert "extension idioms:" in out
     assert "nested-array-reduction" in out
+
+
+def _fake_usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+def _record_engine_sizes(monkeypatch):
+    """The worker count of every serving engine started from now on."""
+    from repro.pipeline import serving
+
+    sizes = []
+
+    class RecordingEngine(serving.ServingEngine):
+        def __init__(self, options=None, **kwargs):
+            super().__init__(options, **kwargs)
+            sizes.append(self.workers)
+
+    monkeypatch.setattr(serving, "ServingEngine", RecordingEngine)
+    return sizes
+
+
+def _corpus_stdout(argv, capsys):
+    """The verb's stdout with the run's timing and report path masked."""
+    assert main(["corpus", "--extended", *argv]) == 0
+    out = capsys.readouterr().out
+    out = re.sub(r"\[jobs=\d+, (\d+) evals, \d+ ms\]",
+                 r"[jobs=N, \1 evals, T ms]", out)
+    return re.sub(r"report saved to .*", "report saved to PATH", out)
+
+
+def test_corpus_default_jobs_follow_the_usable_cpus(tmp_path, monkeypatch,
+                                                     capsys):
+    """One usable CPU, or ``--jobs 1``, keeps the in-process path; three
+    CPUs serve the 40 programs on three workers, none of which outlives
+    the verb, and print what the serial run prints."""
+    from repro.pipeline import load_report
+
+    earlier_children = set(multiprocessing.active_children())
+    sizes = _record_engine_sizes(monkeypatch)
+    _fake_usable_cpus(monkeypatch, 1)
+    one_cpu = _corpus_stdout([], capsys)
+    _fake_usable_cpus(monkeypatch, 3)
+    serial = _corpus_stdout(
+        ["--jobs", "1", "--save-report", str(tmp_path / "serial.json")],
+        capsys)
+    assert sizes == []
+    default = _corpus_stdout(
+        ["--save-report", str(tmp_path / "default.json")], capsys)
+    assert sizes == [3]
+    assert set(multiprocessing.active_children()) <= earlier_children
+    assert default == serial
+    assert one_cpu == serial.replace("report saved to PATH\n", "")
+    reports = [load_report(str(tmp_path / name))
+               for name in ("serial.json", "default.json")]
+    assert [report.jobs for report in reports] == [1, 3]
+    assert reports[0].fingerprint() == reports[1].fingerprint()
 
 
 def test_detect_without_file_or_list_flag_errors(capsys):

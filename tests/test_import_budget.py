@@ -78,16 +78,35 @@ def test_library_surface_loads_no_driver_code():
 
 
 def test_corpus_verb_loads_no_serving_code():
+    """``--jobs 1`` is the in-process sweep: no engine is imported."""
     modules = loaded_after(
         "import contextlib, io\n"
         "from repro.__main__ import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['corpus', '--extended']) == 0\n"
+        "    assert main(['corpus', '--extended', '--jobs', '1']) == 0\n"
     )
     assert "repro.pipeline.engine" in modules
     assert offenders(modules, [
         "repro.pipeline.gateway", "repro.pipeline.serving",
         "repro.runtime", "repro.transform", "asyncio",
+    ]) == []
+
+
+def test_default_corpus_verb_loads_the_engine_only():
+    """With two usable CPUs the default verb runs a short-lived serving
+    engine, by design, and still nothing of the gateway or runtime.
+    The affinity is faked so the probe takes this path on any host."""
+    modules = loaded_after(
+        "import contextlib, io, os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from repro.__main__ import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['corpus', '--extended']) == 0\n"
+    )
+    assert "repro.pipeline.serving" in modules
+    assert offenders(modules, [
+        "repro.pipeline.gateway", "repro.runtime", "repro.transform",
+        "asyncio",
     ]) == []
 
 
