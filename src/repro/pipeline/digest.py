@@ -531,16 +531,25 @@ def load_report(path: str) -> CorpusReport:
 def save_report(report: CorpusReport, path: str) -> None:
     """Write ``report`` as JSON for later :func:`load_report` use.
 
-    Compact ``json.dumps``: it runs the C encoder, which ``json.dump``
-    and any ``indent`` bypass (the corpus report: 0.006 s and 250 KB,
-    against 0.04 s and 656 KB indented).
+    The file is ``json.dumps(report_to_json(report))`` with compact
+    separators, encoded one program at a time: ``json.dumps`` runs the
+    C encoder, which ``json.dump`` and any ``indent`` bypass, and one
+    program at a time bounds the encoder's buffers by the largest
+    program instead of the whole report (on the corpus: 0.01 s and
+    250 KB, against 0.04 s and 656 KB indented).
     """
     import json
 
+    data = report_to_json(report)
+    programs = data.pop("programs")  # the last key of the object
     with open(path, "w") as handle:
-        handle.write(json.dumps(report_to_json(report),
-                                separators=(",", ":")))
-        handle.write("\n")
+        handle.write(json.dumps(data, separators=(",", ":"))[:-1])
+        handle.write(',"programs":[')
+        for index, program in enumerate(programs):
+            if index:
+                handle.write(",")
+            handle.write(json.dumps(program, separators=(",", ":")))
+        handle.write("]}\n")
 
 
 def digest_extensions(

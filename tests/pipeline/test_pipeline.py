@@ -282,8 +282,9 @@ def test_report_json_round_trip_preserves_fingerprint():
 
 
 def test_saved_report_file_round_trips(tmp_path):
-    """``save_report`` writes one compact line that ``load_report``
-    reads back to the same report, fingerprint verified."""
+    """``save_report`` writes the compact JSON of ``report_to_json``,
+    which ``load_report`` reads back to the same report, fingerprint
+    verified."""
     import json
 
     from repro.pipeline import load_report, save_report
@@ -292,9 +293,8 @@ def test_saved_report_file_round_trips(tmp_path):
                            keys=KEYS[:4])
     path = tmp_path / "report.json"
     save_report(report, str(path))
-    text = path.read_text()
-    assert text.endswith("}\n") and text.count("\n") == 1
-    assert json.loads(text) == report_to_json(report)
+    assert path.read_text() == json.dumps(
+        report_to_json(report), separators=(",", ":")) + "\n"
     loaded = load_report(str(path))
     assert loaded.programs == report.programs
     assert loaded.fingerprint() == report.fingerprint()
