@@ -196,6 +196,18 @@ class SolverContext:
             self._solver_cache = SharedSolverCache()
         return self._solver_cache
 
+    def reset_solver_cache(self) -> None:
+        """Drop the shared search state; the next search starts an
+        empty :attr:`solver_cache`.
+
+        The analyses and :attr:`flow_memo` stay.  A context kept across
+        requests is reset between them, so each request's effort
+        counters are those of a fresh context.
+        """
+        if self._solver_cache is not None:
+            self._solver_cache.clear()
+            self._solver_cache = None
+
     def instructions_with_opcode(self, opcode: str) -> list[Instruction]:
         """All instructions of the function with the given opcode, in
         block order.  Callers must not mutate the returned list."""

@@ -45,18 +45,22 @@ def find_reductions_in_function(
     function: Function,
     module: Module | None = None,
     registry: IdiomRegistry | None = None,
+    ctx: SolverContext | None = None,
 ) -> FunctionReductions:
     """Detect and post-process all reductions of one function.
 
     Every spec runs against the context's
     :class:`~repro.constraints.SharedSolverCache`, so the scalar and
     histogram searches reuse one solved for-loop prefix and each
-    other's memoized proposals.
+    other's memoized proposals.  ``ctx`` is a context already built
+    for ``function`` (a serving worker keeps one per cached function,
+    with an empty search cache); without it the search runs on a
+    fresh context.
     """
     registry = registry if registry is not None else default_registry()
     scalar_spec = registry.spec("scalar-reduction")
     histogram_spec = registry.spec("histogram")
-    ctx = SolverContext(function, module)
+    ctx = ctx if ctx is not None else SolverContext(function, module)
     stats = SolverStats()
     result = FunctionReductions(function, solver_context=ctx, stats=stats)
 

@@ -164,8 +164,8 @@ class DetectionReport:
         """
         for function_reductions in self.functions:
             context = function_reductions.solver_context
-            if context is not None and context._solver_cache is not None:
-                context._solver_cache.clear()
+            if context is not None:
+                context.reset_solver_cache()
             function_reductions.solver_context = None
 
     def summary(self) -> str:

@@ -19,7 +19,7 @@ not once per request:
   overtakes a deep backlog of queued batch units instead of waiting
   behind it, while a lone batch job still gets the whole pool;
 * **dispatch is windowed** — each worker runs one unit and holds up
-  to ``prefetch_units`` more on its private queue, so finishing a
+  to ``prefetch_units`` more on its private task pipe, so finishing a
   unit starts the next without idling a supervisor round-trip; the
   worker-side gap is measured per unit and reported through
   :meth:`ServingEngine.mean_dispatch_gap`;
@@ -37,8 +37,10 @@ not once per request:
   long-lived pool survives worker turnover by construction;
 * **workers are warm** — each worker keeps its
   :class:`~repro.idioms.registry.IdiomRegistry` and a compiled-module
-  cache for the life of the process, so repeated traffic over the same
-  corpus pays compiles once per worker, not once per request.
+  cache, with one solver context (the function's analyses) per cached
+  function it ran more than once, for the life of the process, so
+  repeated traffic over the same corpus pays compiles and analyses
+  once or twice per worker, not once per request.
 
 Determinism: :meth:`ServingJob.result` reassembles each program
 through the checked :func:`~repro.pipeline.digest.assemble_program`,
@@ -68,6 +70,8 @@ import enum
 import itertools
 import math
 import time
+import warnings
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_channels
@@ -205,18 +209,23 @@ class PriorityScheduler:
 _WORKER_REGISTRY_CACHE = 8
 
 
-def serve_worker(worker_id: int, task_queue, result_conn,
+def serve_worker(worker_id: int, task_conn, result_conn,
                  options: PipelineOptions, stop=None) -> None:
     """One persistent worker process.
 
-    Pulls ``(job_id, unit, spec_orders)`` tasks from its **own** queue
-    until the ``None`` sentinel (or the shared ``stop`` flag is
-    nonzero — draining a queue from the parent races the queue's
-    feeder thread, so shutdown needs a signal workers check
+    Reads ``(job_id, unit, spec_orders)`` tasks from its **own** task
+    pipe (``task_conn``, which the parent writes to directly: no
+    feeder thread, no queue lock) until the ``None`` sentinel, the
+    pipe's EOF, or the shared ``stop`` flag is nonzero — the parent
+    cannot take back the prefetched tasks already in the pipe ahead
+    of the sentinel, so shutdown needs a signal workers check
     themselves; the flag is lock-free, so a worker killed mid-check
-    cannot leave a lock held that every other worker then blocks on),
-    keeping the idiom registry and compiled modules warm across tasks
-    — and across jobs.  ``spec_orders`` is the job's feedback-derived
+    cannot leave a lock held that every other worker then blocks on.
+    The idiom registry, the compiled modules and one solver context
+    per cached function run more than once
+    (:class:`~repro.pipeline.worker.ModuleCache`) stay warm across tasks — and across jobs — while each task's
+    search starts from an empty cache, so its digest is the one a cold
+    worker would send.  ``spec_orders`` is the job's feedback-derived
     label-order mapping (None = the options-level orders the worker
     booted with): self-contained per task, so a job submitted before a
     feedback refresh keeps its orders even while newer jobs run
@@ -241,12 +250,15 @@ def serve_worker(worker_id: int, task_queue, result_conn,
         registries: dict = {None: _build_registry(options)}
         modules = ModuleCache(options.module_cache_size)
         # Dispatch-gap instrumentation: how long this worker sat in
-        # ``get()`` between finishing one unit and starting the next —
+        # ``recv()`` between finishing one unit and starting the next —
         # the latency prefetching exists to hide.  The first task's
         # wait (process boot, not a dispatch gap) reports as zero.
         last_done: float | None = None
         while True:
-            task = task_queue.get()
+            try:
+                task = task_conn.recv()
+            except EOFError:  # the parent closed the pipe or died
+                break
             idle = (
                 0.0 if last_done is None
                 else time.monotonic() - last_done
@@ -284,7 +296,7 @@ class _WorkerHandle:
 
     ``assignments`` is the worker's dispatch window, oldest first: the
     unit it is running plus up to ``prefetch_units`` queued behind it
-    on its private task queue.  The worker drains its queue FIFO, so
+    on its private task pipe.  The worker reads its pipe FIFO, so
     each ``done`` message answers the window's head — and a killed
     worker's loss stays *exact*: the engine knows precisely which
     units died with it (the whole window) and resubmits those units,
@@ -293,9 +305,10 @@ class _WorkerHandle:
 
     worker_id: int
     process: object
-    queue: object
+    #: Parent-side write end of the worker's private task pipe.
+    tasks: object
     #: Parent-side read end of the worker's private result pipe.
-    conn: object = None
+    conn: object
     #: ``(job_id, unit, attempt, job_class)`` dispatches, oldest first.
     assignments: deque = field(default_factory=deque)
     tasks_done: int = 0
@@ -305,6 +318,28 @@ class _WorkerHandle:
     def assignment(self) -> tuple | None:
         """The window's head — the unit the worker is running now."""
         return self.assignments[0] if self.assignments else None
+
+    def send(self, task) -> None:
+        """Write one task (or the ``None`` sentinel) to the worker.
+
+        The window bounds what the pipe holds to a few small messages,
+        far below the pipe's buffer, so the write never waits on the
+        worker.  A worker that died makes the write fail; that is
+        ignored here — the EOF on its result pipe is the death notice,
+        and :meth:`ServingEngine._declare_dead` recovers the window.
+        """
+        try:
+            self.tasks.send(task)
+        except OSError:
+            pass
+
+    def close_channels(self) -> None:
+        """Close the parent's ends of both pipes."""
+        for conn in (self.tasks, self.conn):
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover - defensive
+                pass
 
 
 class ServingJob:
@@ -517,7 +552,7 @@ class ServingEngine:
     Architecturally a supervisor: pending units live in the parent's
     :class:`PriorityScheduler` (not a shared queue), each worker holds
     a small known dispatch window (the running unit plus
-    ``prefetch_units`` queued on its private task queue), and every
+    ``prefetch_units`` queued on its private task pipe), and every
     completion triggers the next weighted-fair dispatch.  That design
     buys the whole reliability story — priorities apply at every
     window boundary, cancellation can drain the scheduler
@@ -527,6 +562,10 @@ class ServingEngine:
     only hides the supervisor round-trip between units; with
     ``prefetch_units=0`` the engine degenerates to strict depth-one
     dispatch.
+
+    An engine whose workers were started must be stopped with
+    :meth:`shutdown` (or used as a context manager); one collected
+    while its workers run emits a :class:`ResourceWarning`.
     """
 
     def __init__(self, options: PipelineOptions | None = None, **kwargs):
@@ -573,6 +612,9 @@ class ServingEngine:
         self._worker_options: PipelineOptions | None = None
         self._pristine_registry = None
         self.feedback_refreshes = 0
+        #: Warns when the engine is collected with its workers running
+        #: (armed by :meth:`start`, disarmed by :meth:`shutdown`).
+        self._leak_guard = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -597,6 +639,12 @@ class ServingEngine:
         self._stop = self._context.RawValue("b", 0)
         self._scheduler = PriorityScheduler()
         self.resolve_feedback()
+        self._leak_guard = weakref.finalize(
+            self, _warn_unreleased, self.workers
+        )
+        # Only a collected engine is a leak: at interpreter exit the
+        # daemon workers are stopped by multiprocessing itself.
+        self._leak_guard.atexit = False
         for _ in range(self.workers):
             self._spawn_worker()
         return self
@@ -638,21 +686,21 @@ class ServingEngine:
 
     def _spawn_worker(self) -> _WorkerHandle:
         worker_id = next(self._worker_ids)
-        task_queue = self._context.Queue()
+        task_reader, task_writer = self._context.Pipe(duplex=False)
         reader, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=serve_worker,
-            args=(worker_id, task_queue, writer,
+            args=(worker_id, task_reader, writer,
                   self._worker_options or self.options, self._stop),
             daemon=True,
         )
         process.start()
-        # Close the parent's copy of the write end: the worker now
-        # holds the only writer, so its death makes the pipe EOF —
-        # the read side doubles as a death notice.
+        # Close the parent's copies of the worker's ends: the worker
+        # now holds the only result writer, so its death makes the
+        # result pipe EOF — the read side doubles as a death notice.
+        task_reader.close()
         writer.close()
-        handle = _WorkerHandle(worker_id, process, task_queue,
-                               conn=reader)
+        handle = _WorkerHandle(worker_id, process, task_writer, reader)
         self._workers[worker_id] = handle
         return handle
 
@@ -660,11 +708,13 @@ class ServingEngine:
         """Stop the workers (idempotent).
 
         In-flight jobs are abandoned: the stop flag makes each worker
-        exit at its next task (draining a queue from the parent would
-        race the feeder thread, so workers check the flag themselves),
-        and any job still pending is marked failed — a later
-        ``stream()``/``result()`` on it raises instead of waiting on
-        queues that no longer exist.
+        exit at its next task (the prefetched tasks already written to
+        a worker's pipe cannot be taken back, so workers check the
+        flag themselves), and any job still pending is marked failed —
+        a later ``stream()``/``result()`` on it raises instead of
+        waiting on pipes that no longer exist.  Every pipe end and
+        process handle the engine holds is closed, so a stopped engine
+        leaves no file descriptor behind.
 
         Pending jobs are failed (and the drain flag raised) *before*
         the worker joins below: a consumer blocked in
@@ -685,25 +735,18 @@ class ServingEngine:
         self._jobs.clear()
         self._scheduler = PriorityScheduler()
         for handle in self._workers.values():
-            handle.queue.put(None)
+            handle.send(None)
         for handle in self._workers.values():
-            handle.process.join(timeout=30)
-            if handle.process.is_alive():  # pragma: no cover - defensive
-                handle.process.terminate()
-                handle.process.join()
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
+            _reap(handle.process, timeout=30)
+            handle.close_channels()
         for process in self._retired:
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join()
+            _reap(process, timeout=5)
         self._workers = {}
         self._retired = []
         self._stop = self._context = None
         self._draining = False
+        self._leak_guard.detach()
+        self._leak_guard = None
 
     def __enter__(self) -> "ServingEngine":
         return self.start()
@@ -838,10 +881,10 @@ class ServingEngine:
         """Mean worker-side idle between consecutive units, seconds.
 
         Each ``done`` message reports how long its worker waited on
-        its task queue after finishing the previous unit; this is the
+        its task pipe after finishing the previous unit; this is the
         running mean.  With ``prefetch_units=0`` every gap is a full
         supervisor round-trip; with a prefetch window the next unit is
-        already local and the gap collapses to a queue read.
+        already local and the gap collapses to a pipe read.
         """
         return self.idle_seconds / self.idle_samples \
             if self.idle_samples else 0.0
@@ -865,7 +908,7 @@ class ServingEngine:
 
         Round by round — first every worker gets a running unit, then
         the prefetch slots fill — so prefetching never starves an idle
-        worker while another's queue doubles up.  Workers at their
+        worker while another's window doubles up.  Workers at their
         recycle quota are skipped: their windows drain so the graceful
         sentinel can follow.
         """
@@ -887,9 +930,9 @@ class ServingEngine:
                     job = self._jobs.get(job_id)
                     if job is None:
                         continue  # cancelled or abandoned; drop it
-                    handle.queue.put((job_id, unit, job._spec_orders))
                     handle.assignments.append((job_id, unit, attempt,
                                                cls))
+                    handle.send((job_id, unit, job._spec_orders))
                     break
 
     def channels(self) -> list:
@@ -1041,20 +1084,24 @@ class ServingEngine:
             # one; let the window drain (the dispatcher has stopped
             # refilling it) — this re-runs at each of their completions.
             return
-        handle.queue.put(None)
+        handle.send(None)
         self._workers.pop(handle.worker_id, None)
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
+        handle.close_channels()
         self._retired.append(handle.process)
         self.recycled += 1
         self._spawn_worker()
 
     def _check_liveness(self) -> None:
         """Replace dead or hung workers; recover their in-flight units."""
-        # Reap retired processes that have exited (is_alive waitpids).
-        self._retired = [p for p in self._retired if p.is_alive()]
+        # Reap retired processes that have exited (is_alive waitpids)
+        # and release their handles.
+        running = []
+        for process in self._retired:
+            if process.is_alive():
+                running.append(process)
+            else:
+                process.close()
+        self._retired = running
         now = time.monotonic()
         for handle in list(self._workers.values()):
             alive = handle.process.is_alive()
@@ -1090,10 +1137,7 @@ class ServingEngine:
             # a zombie worker still wastes a core).  Only its own
             # private pipe can be torn by this.
             handle.process.terminate()
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
+        handle.close_channels()
         self._retired.append(handle.process)
         self.worker_deaths += 1
         # Recover the whole dispatch window — the running unit and any
@@ -1119,3 +1163,22 @@ class ServingEngine:
                 if job.done:
                     self._jobs.pop(job_id, None)
         self._spawn_worker()
+
+
+def _reap(process, timeout: float) -> None:
+    """Join a stopping worker (terminating it past ``timeout``) and
+    release its process handle."""
+    process.join(timeout=timeout)
+    if process.is_alive():  # pragma: no cover - defensive
+        process.terminate()
+        process.join()
+    process.close()
+
+
+def _warn_unreleased(workers: int) -> None:
+    """The leak guard of an engine collected with its workers running."""
+    warnings.warn(
+        f"ServingEngine collected with {workers} worker process(es) "
+        f"running; call shutdown() or use it as a context manager",
+        ResourceWarning,
+    )

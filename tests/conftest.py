@@ -9,6 +9,27 @@ import pytest
 GENERATOR_PATH = Path(__file__).resolve().parents[1] / "perfbench" / \
     "generator.py"
 
+#: The start of the ``ResourceWarning`` a ``ServingEngine`` emits when it
+#: is collected with its workers running (``shutdown()`` never called).
+LEAKED_ENGINE = "ServingEngine collected with"
+
+
+def pytest_configure(config):
+    """Make a leaked serving engine fail the test that leaked it.
+
+    The warning comes from a finalizer, so once it is an error it
+    reaches pytest as an unraisable exception; the second filter makes
+    that report an error too.  Both match the leak warning's message
+    only: any other ``ResourceWarning`` (an unclosed file) keeps its
+    default handling.
+    """
+    config.addinivalue_line(
+        "filterwarnings", f"error:{LEAKED_ENGINE}:ResourceWarning")
+    config.addinivalue_line(
+        "filterwarnings",
+        f"error:(?s).*ResourceWarning. {LEAKED_ENGINE}"
+        f":pytest.PytestUnraisableExceptionWarning")
+
 
 @pytest.fixture(scope="session")
 def generator():
