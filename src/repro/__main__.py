@@ -927,7 +927,9 @@ def main(argv: list[str] | None = None) -> int:
     serve_cmd.add_argument("--granularity",
                            choices=("program", "function"),
                            default="function",
-                           help="work-unit granularity (default: function)")
+                           help="work-unit granularity (default: "
+                                "function); interactive requests on "
+                                "one worker always run whole programs")
     serve_cmd.add_argument("--priority",
                            choices=("interactive", "batch"),
                            default="batch",
@@ -982,8 +984,9 @@ def main(argv: list[str] | None = None) -> int:
     gateway_cmd.add_argument("--granularity",
                              choices=("program", "function"),
                              default="function",
-                             help="work-unit granularity "
-                                  "(default: function)")
+                             help="work-unit granularity (default: "
+                                  "function); interactive requests on "
+                                  "one worker always run whole programs")
     gateway_cmd.add_argument("--unit-budget", type=int, default=None,
                              metavar="N",
                              help="per-connection admission budget in "

@@ -46,6 +46,10 @@ Assignment = Mapping[str, Value]
 #: the skipped evaluation in :attr:`SolverStats.evals_pruned`.
 PARTIAL_VACUOUS = object()
 
+#: ``solver.SharedSolverCache``, bound on first use: the solver module
+#: imports this one.
+_SharedSolverCache = None
+
 #: The value-kind lattice consulted by :meth:`Constraint.label_kinds`
 #: and the lint pass's domain analysis (ICSL003): child -> parent.
 #: ``any`` is the top; ``block`` and ``value`` are disjoint below it
@@ -191,9 +195,10 @@ class SolverContext:
         SharedSolverCache`.
         """
         if self._solver_cache is None:
-            from .solver import SharedSolverCache
-
-            self._solver_cache = SharedSolverCache()
+            global _SharedSolverCache
+            if _SharedSolverCache is None:
+                from .solver import SharedSolverCache as _SharedSolverCache
+            self._solver_cache = _SharedSolverCache()
         return self._solver_cache
 
     def reset_solver_cache(self) -> None:

@@ -45,7 +45,14 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from ..ir.values import Value
-from .core import PARTIAL_VACUOUS, IdiomSpec, SolverContext
+from . import solver as _solver
+from .core import (
+    PARTIAL_VACUOUS,
+    IdiomSpec,
+    SolverContext,
+    constraint_labels,
+    top_level_conjuncts,
+)
 from .logical import intersect_proposals
 
 #: Slot value marking an unbound label.
@@ -291,10 +298,8 @@ class FlatPlan:
     """The compiled execution plan of one spec (cached on the spec)."""
 
     def __init__(self, spec: IdiomSpec):
-        from .solver import compile_spec
-
         self.spec = spec
-        compiled = compile_spec(spec)
+        compiled = _solver.compile_spec(spec)
         order = spec.label_order
         self.order = order
         self.slot_of = {label: i for i, label in enumerate(order)}
@@ -391,8 +396,6 @@ class FlatPlan:
         the keys (and implications) of base conjuncts fully bound
         within the prefix — mapped to the establishing conjunct (for
         the pruning record's provenance)."""
-        from .core import constraint_labels, top_level_conjuncts
-
         keys: dict = {}
         for conjunct in top_level_conjuncts(base.constraint):
             if set(constraint_labels(conjunct)) <= prefix_set:
@@ -430,10 +433,8 @@ def detect_plan(
     hits, prefix reuses), and ``constraint_evals + evals_pruned`` equal
     to the interpreted engine's ``constraint_evals``.
     """
-    from .solver import SolverStats
-
     plan = compile_plan(spec)
-    stats = stats if stats is not None else SolverStats()
+    stats = stats if stats is not None else _solver.SolverStats()
     cache = cache if cache is not None else ctx.solver_cache
     results: list[dict[str, Value]] = []
     stats.conjuncts_pruned += plan.conjuncts_pruned
@@ -643,14 +644,12 @@ def _base_solutions(ctx, spec, stats, cache, limit):
     :func:`~repro.constraints.solver._base_prefix_solutions` (same
     cache slot, same charge-the-first-caller accounting, same
     ``limit`` gate)."""
-    from .solver import SolverStats
-
     base = spec.base
     solutions = cache.solutions_for(base)
     if solutions is None:
         if limit is not None:
             return None
-        base_stats = SolverStats()
+        base_stats = _solver.SolverStats()
         solutions = detect_plan(ctx, base, stats=base_stats, cache=cache)
         cache.store_solutions(base, solutions)
         base_stats.solutions = 0

@@ -63,6 +63,7 @@ from .core import (
     constraint_labels,
     top_level_conjuncts,
 )
+from . import plan as _plan
 from .logical import intersect_proposals
 
 
@@ -456,9 +457,8 @@ def detect(
     state (memoized proposals, solved base prefixes).  Pass a fresh
     :class:`SharedSolverCache` for fully per-call state.
     """
-    from .plan import detect_plan
-
-    return detect_plan(ctx, spec, stats=stats, limit=limit, cache=cache)
+    return _plan.detect_plan(ctx, spec, stats=stats, limit=limit,
+                             cache=cache)
 
 
 def detect_interpreted(

@@ -71,9 +71,7 @@ def find_reductions_in_function(
         # shared counter would have seen.
         spec_stat = SolverStats()
         solutions = detect(ctx, spec, stats=spec_stat)
-        result.spec_stats.setdefault(
-            spec.name, SolverStats()
-        ).merge(spec_stat)
+        _record(result.spec_stats, spec.name, spec_stat)
         stats.merge(spec_stat)
         return solutions
 
@@ -95,9 +93,7 @@ def find_reductions_in_function(
         base_stat = SolverStats()
         solutions = detect(ctx, base, stats=base_stat)
         ctx.solver_cache.store_solutions(base, solutions)
-        result.spec_stats.setdefault(
-            base.name, SolverStats()
-        ).merge(base_stat)
+        _record(result.spec_stats, base.name, base_stat)
         stats.merge(base_stat)
 
     presolve_base(scalar_spec)
@@ -124,6 +120,14 @@ def find_reductions_in_function(
             result.histograms.append(record)
 
     return result
+
+
+def _record(spec_stats: dict, name: str, stats: SolverStats) -> None:
+    """File one search's fresh ``stats`` under ``name``: the first
+    object is stored as is, a later one merges into it."""
+    kept = spec_stats.setdefault(name, stats)
+    if kept is not stats:
+        kept.merge(stats)
 
 
 def find_reductions(

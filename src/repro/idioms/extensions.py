@@ -66,9 +66,10 @@ from ..ir.function import Function
 from ..ir.instructions import PhiInst
 from ..ir.module import Module
 from ..ir.values import Value
-from .detect import module_stamp
+from .detect import _record, module_stamp
 from .forloop import FOR_LOOP_LABEL_ORDER, for_loop_constraint, loop_invariant_in
 from .postprocess import classify_update
+from .registry import default_registry
 from .reports import ReductionOp
 
 # ---------------------------------------------------------------------------
@@ -308,8 +309,6 @@ def find_extended_in_function(
     spec's search effort under its own name (the solver feedback
     store's per-spec signal) in addition to the ``stats`` aggregate.
     """
-    from .registry import default_registry
-
     registry = registry if registry is not None else default_registry()
     ctx = ctx if ctx is not None else SolverContext(function, module)
     result = FunctionExtensions(function, solver_context=ctx)
@@ -318,10 +317,10 @@ def find_extended_in_function(
     def run(spec):
         local = SolverStats()
         solutions = detect(ctx, spec, stats=local)
-        if spec_stats is not None:
-            spec_stats.setdefault(spec.name, SolverStats()).merge(local)
         if stats is not None:
             stats.merge(local)
+        if spec_stats is not None:
+            _record(spec_stats, spec.name, local)
         return solutions
 
     for assignment in run(registry.spec("dot-product")):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from .types import DOUBLE, INT1, FloatType, IntType, PointerType, Type
+from .types import DOUBLE, INT1, INT64, FloatType, IntType, PointerType, Type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .instructions import Instruction
@@ -173,8 +173,6 @@ def _wrap_signed(value: int, width: int) -> int:
 
 def const_int(value: int, type: IntType | None = None) -> ConstantInt:
     """Convenience constructor for integer constants (defaults to i64)."""
-    from .types import INT64
-
     return ConstantInt(type or INT64, value)
 
 

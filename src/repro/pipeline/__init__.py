@@ -55,6 +55,7 @@ _EXPORTS = {
     "ServingEngine": "serving",
     "ServingJob": "serving",
     "JobClass": "serving",
+    "JobPlan": "serving",
     "JobCancelled": "serving",
     "PriorityScheduler": "serving",
     "serve_worker": "serving",

@@ -131,8 +131,11 @@ def merge_spec_stats(units) -> dict:
 
     Order-canonical by construction — :meth:`SolverStats.merge
     <repro.constraints.SolverStats.merge>` only sums — so any arrival
-    order of the same units produces an equal mapping.
+    order of the same units produces an equal mapping.  A single
+    digest's mapping is copied, its stats objects shared.
     """
+    if len(units) == 1:
+        return dict(units[0].spec_stats)
     merged: dict[str, SolverStats] = {}
     for unit in units:
         for name, stats in unit.spec_stats.items():
@@ -427,15 +430,20 @@ def program_to_json(p: ProgramDigest) -> dict:
     }
 
 
-def report_to_json(report: CorpusReport) -> dict:
+def report_to_json(report: CorpusReport, programs: bool = True) -> dict:
     """The report as JSON-serializable plain data.
 
     The inverse of :func:`report_from_json`; round-tripping preserves
     the fingerprint (and the timing metadata the fingerprint excludes),
     so a saved run (``--save-report``) can be reloaded and compared
     across process — and machine — boundaries.
+
+    ``programs=False`` lists the programs' ``[name, suite]`` keys, in
+    report order, instead of their digests: the socket gateway's
+    ``result`` frame, whose client already holds every digest from
+    the request's ``digest`` frames.
     """
-    return {
+    data = {
         "jobs": report.jobs,
         "wall_seconds": report.wall_seconds,
         "fingerprint": report.fingerprint(),
@@ -444,8 +452,12 @@ def report_to_json(report: CorpusReport) -> dict:
              "error": f.error, "attempts": f.attempts}
             for f in report.failures
         ],
-        "programs": [program_to_json(p) for p in report.programs],
     }
+    if programs:
+        data["programs"] = [program_to_json(p) for p in report.programs]
+    else:
+        data["keys"] = [[p.name, p.suite] for p in report.programs]
+    return data
 
 
 def program_from_json(p: dict) -> ProgramDigest:
@@ -493,14 +505,29 @@ def program_from_json(p: dict) -> ProgramDigest:
     )
 
 
-def report_from_json(data: dict) -> CorpusReport:
+def report_from_json(data: dict, streamed=None) -> CorpusReport:
     """Rebuild a :class:`CorpusReport` from :func:`report_to_json` data.
 
-    The recorded fingerprint, when present, is verified against the
-    rebuilt report — a corrupted or hand-edited costs file fails loudly
-    instead of silently mis-weighting work units.
+    Data written with ``programs=False`` names its programs by key;
+    ``streamed`` supplies their :class:`ProgramDigest`\\ s, in any
+    order.  The recorded fingerprint, when present, is verified
+    against the rebuilt report — a corrupted or hand-edited costs file
+    (or a digest altered on the wire) fails loudly instead of silently
+    mis-weighting work units.
     """
-    programs = tuple(program_from_json(p) for p in data["programs"])
+    if "programs" in data:
+        programs = tuple(program_from_json(p) for p in data["programs"])
+    else:
+        by_key = {digest.key: digest for digest in streamed or ()}
+        try:
+            programs = tuple(
+                by_key[(name, suite)] for name, suite in data["keys"]
+            )
+        except KeyError as exc:
+            raise ValueError(
+                f"report JSON names program {exc.args[0]} that was "
+                f"not streamed"
+            ) from None
     report = CorpusReport(
         programs=programs,
         jobs=data.get("jobs", 1),

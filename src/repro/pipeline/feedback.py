@@ -92,7 +92,10 @@ class FeedbackStore:
 
     def merge_stats(self, name: str, stats: SolverStats) -> "FeedbackStore":
         """Fold one spec's recorded statistics into the store."""
-        self.specs.setdefault(name, SolverStats()).merge(stats)
+        kept = self.specs.get(name)
+        if kept is None:
+            kept = self.specs[name] = SolverStats()
+        kept.merge(stats)
         self._fingerprint = None
         return self
 

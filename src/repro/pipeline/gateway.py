@@ -21,8 +21,10 @@ responses carry a ``type`` plus the client-chosen request ``id`` they
 answer.  One connection multiplexes any number of in-flight requests;
 the server streams each program's digest the moment it completes
 (``digest`` frames, completion order) and closes every request with
-exactly one terminal frame — ``result`` (the canonical
-fingerprint-stable report), ``failed``, or ``cancelled``.
+exactly one terminal frame — ``result``, ``failed``, or ``cancelled``.
+A ``result`` frame carries the canonical report's metadata and program
+order, not the programs again: the client rebuilds the report from the
+request's ``digest`` frames.
 
 Admission control and backpressure
 ----------------------------------
@@ -44,9 +46,10 @@ units leave the scheduler, in-flight results are dropped on arrival,
 nothing leaks.
 
 Determinism is untouched: the gateway transports digests, it never
-reorders or merges them — a served report rebuilt from a ``result``
-frame is fingerprint-identical to ``detect_corpus(jobs=1)`` with the
-same options (the frame embeds the fingerprint, and
+reorders or merges them — a served report rebuilt from a request's
+``digest`` frames and its ``result`` frame is fingerprint-identical to
+``detect_corpus(jobs=1)`` with the same options (the ``result`` frame
+embeds the fingerprint, and
 :func:`~repro.pipeline.digest.report_from_json` verifies it on
 rebuild).
 
@@ -83,14 +86,14 @@ from .digest import (
 )
 from .options import PipelineOptions
 from .serving import JobCancelled, JobClass, ServingEngine
-from .shard import plan_units
 
 Key = tuple[str, str]
 
 #: Frame header: one big-endian u32 payload length.
 FRAME_HEADER = struct.Struct(">I")
-#: Upper bound on a single frame body — a full-corpus ``result`` frame
-#: is ~1 MiB; anything near this limit is a protocol error, not data.
+#: Upper bound on a single frame body — the largest frame is one
+#: program's digest; anything near this limit is a protocol error, not
+#: data.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
@@ -415,13 +418,25 @@ class GatewayServer:
                 fd = os.dup(conn.fileno())
                 self._loop.add_reader(fd, self._service)
                 self._watched[conn] = fd
+        timeout = self.engine.poll_timeout() if channels else None
+        if timeout is None:
+            if self._timer is not None:
+                self._timer.cancel()
+                self._timer = None
+            return
+        # Re-armed only when the deadline moves earlier: a heartbeat
+        # moves it later, and a timer that fires early costs one idle
+        # service step, which arms the next one.
+        deadline = self._loop.time() + timeout
+        if self._timer is not None and self._timer.when() <= deadline:
+            return
         if self._timer is not None:
             self._timer.cancel()
-        timeout = self.engine.poll_timeout() if channels else None
-        self._timer = (
-            None if timeout is None
-            else self._loop.call_later(timeout, self._service)
-        )
+        self._timer = self._loop.call_at(deadline, self._on_deadline)
+
+    def _on_deadline(self) -> None:
+        self._timer = None
+        self._service()
 
     # -- requests ------------------------------------------------------------
 
@@ -495,8 +510,10 @@ class GatewayServer:
                     f"unknown program(s): {sorted(set(unknown))}",
                 )
                 return
-        keys = list(dict.fromkeys(keys))
-        units = len(plan_units(keys, self.options.granularity))
+        # Admission counts the units the engine will queue: the plan
+        # is made once, and enqueued as is.
+        plan = self.engine.plan(keys, priority)
+        units = len(plan.units)
         pending = self._conn_pending(conn)
         # An idle connection is always admitted, even past the budget
         # — otherwise a request bigger than the whole budget could
@@ -515,7 +532,7 @@ class GatewayServer:
             })
             return
         try:
-            job = self.engine.submit(keys, priority=priority)
+            job = self.engine.enqueue(plan)
         except Exception as exc:
             self._fail_request(
                 conn, client_id, f"{type(exc).__name__}: {exc}"
@@ -618,10 +635,12 @@ class GatewayServer:
                 )
                 conn.requests.pop(client_id, None)
                 self._stats["completed"] += 1
+                # The programs went out as digest frames of this
+                # request (all of them by now): the result names them.
                 frames.append((conn, {
                     "type": "result",
                     "id": client_id,
-                    "report": report_to_json(report),
+                    "report": report_to_json(report, programs=False),
                 }))
         return frames
 
@@ -783,10 +802,12 @@ class GatewayClient:
     def result(self, request: GatewayRequest) -> CorpusReport:
         """Drain the request and rebuild its canonical report.
 
-        The rebuild runs through
+        The rebuild puts the request's streamed digests in the
+        ``result`` frame's program order and runs through
         :func:`~repro.pipeline.digest.report_from_json`, which
         verifies the embedded fingerprint — a report that survived the
-        wire is bit-trustworthy.  Raises
+        wire is bit-trustworthy, and one that does not match raises
+        ``ValueError``.  Raises
         :class:`~repro.pipeline.serving.JobCancelled` for a cancelled
         request and :class:`GatewayRequestFailed` for a failed one.
         """
@@ -795,7 +816,7 @@ class GatewayClient:
         outcome = request._outcome
         self._requests.pop(request.id, None)
         if outcome["type"] == "result":
-            return report_from_json(outcome["report"])
+            return report_from_json(outcome["report"], request.digests)
         if outcome["type"] == "cancelled":
             raise JobCancelled(
                 f"gateway request {request.id} was cancelled"

@@ -12,7 +12,10 @@ not once per request:
 * **submission is asynchronous** — :meth:`ServingEngine.submit` plans
   the request into :class:`~repro.pipeline.shard.WorkUnit`\\ s, enqueues
   them and returns a :class:`ServingJob` immediately; several jobs may
-  be in flight at once, their results routed by job id;
+  be in flight at once, their results routed by job id.  An
+  interactive request on a one-worker engine is planned as whole
+  programs: one dispatch per program, since no second worker could
+  run its functions at the same time;
 * **scheduling is class-aware** — every job carries a
   :class:`JobClass` (``INTERACTIVE`` or ``BATCH``); pending units are
   dequeued weighted-fair (stride scheduling), so an interactive submit
@@ -69,6 +72,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import select
 import time
 import warnings
 import weakref
@@ -109,8 +113,11 @@ class JobClass(enum.Enum):
     ``INTERACTIVE`` units are dequeued four times as often as
     ``BATCH`` units when both classes have work queued (stride
     scheduling); with only one class active it receives the whole
-    pool.  The weights are scheduling policy only — they can never
-    change a report, just its latency.
+    pool.  On a one-worker engine an ``INTERACTIVE`` job is planned as
+    whole-program units whatever the granularity (see
+    :meth:`ServingEngine.plan`).  The weights and the planning are
+    scheduling policy only — they can never change a report, just its
+    latency.
     """
 
     INTERACTIVE = "interactive"
@@ -234,9 +241,8 @@ def serve_worker(worker_id: int, task_conn, result_conn,
     and heartbeats go out on the worker's **private result pipe**
     (``result_conn``): one writer per channel, so a worker killed
     mid-send can corrupt at most its own pipe — never a lock the
-    surviving workers share (the parent reads the pipes multiplexed
-    via ``multiprocessing.connection.wait``, and a broken pipe *is*
-    the death notice).  A :class:`~repro.pipeline.worker.Heartbeat`
+    surviving workers share (the parent polls each pipe, and a broken
+    pipe *is* the death notice).  A :class:`~repro.pipeline.worker.Heartbeat`
     thread proves liveness the whole time, so the engine can tell a
     worker grinding through a heavy unit from a dead or hung one; a
     failed unit never kills the worker, so one bad program cannot
@@ -314,6 +320,16 @@ class _WorkerHandle:
     tasks_done: int = 0
     last_beat: float = field(default_factory=time.monotonic)
 
+    def __post_init__(self) -> None:
+        # One poll object per pipe, registered once: ``conn.poll()``
+        # builds and tears down a selector on every call.
+        self._ready = select.poll()
+        self._ready.register(self.conn, select.POLLIN)
+
+    def readable(self) -> bool:
+        """A message *or* EOF waits on the result pipe (no blocking)."""
+        return bool(self._ready.poll(0))
+
     @property
     def assignment(self) -> tuple | None:
         """The window's head — the unit the worker is running now."""
@@ -342,6 +358,24 @@ class _WorkerHandle:
                 pass
 
 
+@dataclass(frozen=True)
+class JobPlan:
+    """A request planned into work units, not yet queued.
+
+    Built by :meth:`ServingEngine.plan`; :meth:`ServingEngine.enqueue`
+    queues exactly these units, so a caller that decides on the unit
+    count first (the gateway's admission control) decides on the plan
+    that runs.
+    """
+
+    #: Requested corpus keys, deduplicated in first-occurrence order.
+    keys: tuple[Key, ...]
+    priority: JobClass
+    #: The work units, heaviest first
+    #: (:func:`~repro.pipeline.shard.lpt_order`).
+    units: tuple[WorkUnit, ...]
+
+
 class ServingJob:
     """One submitted request: a set of corpus keys being served."""
 
@@ -353,6 +387,7 @@ class ServingJob:
         self.keys = keys
         self.priority = priority
         self._pending_units = unit_count
+        #: Units delivered for programs not yet assembled or failed.
         self._by_key: dict[Key, list[UnitDigest]] = {}
         self._remaining: dict[Key, int] = {}
         self._failed_keys: set[Key] = set()
@@ -421,30 +456,59 @@ class ServingJob:
             self._wall = time.perf_counter() - self._started
         return True
 
-    def _deliver(self, digest: UnitDigest) -> bool:
-        """Account one unit result; False when it was a duplicate."""
-        if not self._account(digest.key, digest.function):
-            return False
-        self._by_key.setdefault(digest.key, []).append(digest)
-        if (self._remaining[digest.key] == 0
-                and digest.key not in self._failed_keys):
-            self._completed.append(assemble_program(self._by_key[digest.key]))
-        return True
+    # The feedback hand-off: every accounted unit's per-spec statistics
+    # reach the engine exactly once — summed per assembled program, or
+    # unit by unit for a program that will never assemble (failed,
+    # lost, or its job cancelled, abandoned or shut down).
 
-    def _fail(self, unit: WorkUnit, message: str) -> None:
+    def _deliver(self, digest: UnitDigest) -> dict | None:
+        """Account one unit result.
+
+        Returns the per-spec statistics the engine folds into its
+        feedback: the program's once this unit completes it, the
+        unit's own when its program already failed, ``{}`` while the
+        program is incomplete, and None for a duplicate.
+        """
+        key = digest.key
+        if not self._account(key, digest.function):
+            return None
+        if key in self._failed_keys:
+            return digest.spec_stats
+        units = self._by_key.setdefault(key, [])
+        units.append(digest)
+        if self._remaining[key]:
+            return {}
+        del self._by_key[key]
+        program = assemble_program(units)
+        self._completed.append(program)
+        return program.spec_stats
+
+    def _fail(self, unit: WorkUnit, message: str) -> list[UnitDigest]:
+        """Account a unit that raised in its worker; returns the
+        program's delivered units, which will never assemble."""
         if not self._account(unit.key, unit.function):
-            return
+            return []
         self._failed_keys.add(unit.key)
         self._errors.append(f"{unit.key}/{unit.function or '*'}: {message}")
+        return self._by_key.pop(unit.key, [])
 
-    def _lost(self, unit: WorkUnit, failure: UnitFailure) -> None:
+    def _lost(self, unit: WorkUnit, failure: UnitFailure) -> list[UnitDigest]:
         """A unit abandoned after bounded retries: structured failure,
         not a hung job and not an exception — the rest of the report
-        still completes and carries the :class:`UnitFailure`."""
+        still completes and carries the :class:`UnitFailure`.  Returns
+        the program's delivered units, like :meth:`_fail`."""
         if not self._account(unit.key, unit.function):
-            return
+            return []
         self._failed_keys.add(unit.key)
         self._failures.append(failure)
+        return self._by_key.pop(unit.key, [])
+
+    def _drop_partial(self) -> list[UnitDigest]:
+        """The delivered units of every unassembled program, removed:
+        the job stops here (cancelled, abandoned or shut down)."""
+        units = [unit for units in self._by_key.values() for unit in units]
+        self._by_key.clear()
+        return units
 
     # -- consumer API --------------------------------------------------------
 
@@ -732,6 +796,7 @@ class ServingEngine:
             if not job.done and not job.cancelled:
                 job._errors.append("engine shut down with the job pending")
                 job._pending_units = 0
+            self._fold_units(job._drop_partial())
         self._jobs.clear()
         self._scheduler = PriorityScheduler()
         for handle in self._workers.values():
@@ -760,6 +825,35 @@ class ServingEngine:
         """The full corpus (restricted by the options' suites)."""
         return planned_keys(self.options)
 
+    def plan(
+        self,
+        keys: Sequence[Key] | None = None,
+        priority: "JobClass | str" = JobClass.BATCH,
+    ) -> JobPlan:
+        """Plan a request into work units; queues and spawns nothing.
+
+        ``keys=None`` plans the whole corpus; repeated keys plan once,
+        at their first position.  Units are planned at the options'
+        granularity — except that an ``INTERACTIVE`` request on a
+        one-worker engine is planned as whole programs: splitting a
+        program into function units pays off only when several
+        workers run them at once, and on one worker each function unit
+        costs a dispatch round trip and lets queued batch units slip in
+        between.  Batch requests, and every request on a larger pool,
+        keep the configured granularity, so batch work still yields to
+        interactive work at function boundaries.  Units come
+        heaviest-first (:func:`~repro.pipeline.shard.lpt_order`).
+        """
+        if isinstance(priority, str):
+            priority = JobClass(priority)
+        keys = tuple(dict.fromkeys(keys if keys is not None
+                                   else self.keys()))
+        granularity = self.options.granularity
+        if priority is JobClass.INTERACTIVE and self.workers == 1:
+            granularity = "program"
+        units = lpt_order(plan_units(keys, granularity))
+        return JobPlan(keys, priority, tuple(units))
+
     def submit(
         self,
         keys: Sequence[Key] | None = None,
@@ -767,43 +861,43 @@ class ServingEngine:
     ) -> ServingJob:
         """Enqueue a request; returns immediately.
 
-        Units are planned at the options' granularity and enter the
-        priority scheduler heaviest-first within the job
-        (:func:`~repro.pipeline.shard.lpt_order`), so the pool drains
-        each job LPT-style; across jobs the scheduler interleaves by
-        class weight.  Planning happens *before* any worker is spawned,
-        and a submit that fails after auto-starting a previously idle
-        engine tears the pool back down — a raising ``submit`` never
-        leaks worker processes.
+        :meth:`plan`, then :meth:`enqueue`: units are planned at the
+        options' granularity (whole programs for an interactive request
+        on a one-worker engine) and enter the priority scheduler
+        heaviest-first within the job, so the pool drains each job
+        LPT-style; across jobs the scheduler interleaves by class
+        weight.  Planning happens *before* any worker is spawned, and a
+        submit that fails after auto-starting a previously idle engine
+        tears the pool back down — a raising ``submit`` never leaks
+        worker processes.
         """
-        if isinstance(priority, str):
-            priority = JobClass(priority)
-        keys = list(keys) if keys is not None else self.keys()
-        # Dedupe, preserving order: a repeated key would plan two
-        # identical units whose second result the duplicate guard
-        # (rightly) drops — the job must expect each unit once.
-        keys = list(dict.fromkeys(keys))
+        return self.enqueue(self.plan(keys, priority))
+
+    def enqueue(self, plan: JobPlan) -> ServingJob:
+        """Queue a :meth:`plan`\\ ned request; returns immediately.
+
+        Starts an idle engine; a failure after that start tears the
+        pool back down.
+        """
         started_here = not self.running
         if self.options.feedback_refresh:
             self._refresh_feedback()
         job = None
         try:
-            units = plan_units(keys, self.options.granularity)
-            ordered = lpt_order(units)
             if not self.running:
                 self.start()
-            job = ServingJob(self, next(self._job_ids), keys, len(units),
-                             priority)
+            job = ServingJob(self, next(self._job_ids), list(plan.keys),
+                             len(plan.units), plan.priority)
             # The job's orders are pinned at submit time: every unit of
             # the job — resubmissions after worker deaths included —
             # runs under them, so one job is internally deterministic
             # even while later submits pick up refreshed feedback.
             job._spec_orders = self._current_orders
             self._jobs[job.job_id] = job
-            for unit in ordered:
+            for unit in plan.units:
                 job._expect(unit)
-            for unit in ordered:
-                self._scheduler.push(job.job_id, unit, 0, priority)
+            for unit in plan.units:
+                self._scheduler.push(job.job_id, unit, 0, plan.priority)
             self._dispatch()
             return job
         except BaseException:
@@ -867,9 +961,12 @@ class ServingEngine:
         """The engine's merged solver feedback, as an isolated copy.
 
         Initial ``feedback_from`` seed plus everything accumulated off
-        completed units so far (whether or not ``feedback_refresh`` is
+        accounted units so far (whether or not ``feedback_refresh`` is
         on) — the store ``--save-feedback`` persists at the end of a
-        serving session.
+        serving session.  A unit's statistics arrive when its program
+        assembles, or when the program is known never to (a failed or
+        lost unit, a cancelled or abandoned job, a shutdown); a program
+        still in flight is not counted yet.
         """
         snapshot = FeedbackStore()
         if self._feedback is not None:
@@ -894,12 +991,23 @@ class ServingEngine:
     def _cancel(self, job: ServingJob) -> int:
         drained = self._scheduler.purge(job.job_id)
         self._jobs.pop(job.job_id, None)
+        self._fold_units(job._drop_partial())
         return drained
 
     def _abandon(self, job: ServingJob) -> None:
         self._jobs.pop(job.job_id, None)
+        self._fold_units(job._drop_partial())
         if self.running:
             self._scheduler.purge(job.job_id)
+
+    def _fold(self, spec_stats: dict) -> None:
+        """Fold per-spec search statistics into the live feedback."""
+        for name, stats in spec_stats.items():
+            self._feedback_accum.merge_stats(name, stats)
+
+    def _fold_units(self, units) -> None:
+        for unit in units:
+            self._fold(unit.spec_stats)
 
     # -- the dispatcher ------------------------------------------------------
 
@@ -977,7 +1085,7 @@ class ServingEngine:
         """
         if not self.running or self._draining:
             return 0
-        processed = self._poll_channels(0.0)
+        processed = self._read_channels()
         self._check_liveness()
         self._dispatch()
         return processed
@@ -989,35 +1097,31 @@ class ServingEngine:
         consumer makes progress without spinning."""
         if self.pump() or not self.running or self._draining:
             return
-        self._poll_channels(self.poll_timeout())
+        try:
+            _wait_channels(self.channels(), self.poll_timeout())
+        except OSError:  # pragma: no cover - defensive
+            return
+        self._read_channels()
         self._dispatch()
 
-    def _poll_channels(self, timeout: float | None) -> int:
-        """Multiplex every worker's result pipe; returns messages read.
+    def _read_channels(self) -> int:
+        """Read every message waiting on a worker's result pipe;
+        returns the count.
 
-        ``multiprocessing.connection.wait`` marks a pipe ready on data
-        *or* EOF — a dead worker's closed pipe is its death notice, so
-        kills surface here immediately instead of waiting for a
-        liveness sweep.  A pipe that raises (EOF, a message truncated
-        by a mid-send kill) condemns only its own worker.
+        A pipe is readable on data *or* EOF — a dead worker's closed
+        pipe is its death notice, so kills surface here immediately
+        instead of waiting for a liveness sweep.  A pipe that raises
+        (EOF, a message truncated by a mid-send kill) condemns only
+        its own worker.
         """
-        channels = {
-            handle.conn: handle for handle in self._workers.values()
-        }
-        if not channels:
-            return 0
-        try:
-            ready = _wait_channels(list(channels), timeout)
-        except OSError:  # pragma: no cover - defensive
-            return 0
         processed = 0
-        for conn in ready:
-            handle = channels[conn]
-            # The handle may have been recycled or condemned while an
-            # earlier channel in this pass was processed.
+        for handle in list(self._workers.values()):
+            conn = handle.conn
+            # The handle may be recycled or condemned by one of its
+            # own messages, or while an earlier pipe was read.
             while handle.worker_id in self._workers:
                 try:
-                    if not conn.poll():
+                    if not handle.readable():
                         break
                     message = conn.recv()
                 except (EOFError, OSError):
@@ -1054,17 +1158,18 @@ class ServingEngine:
         job = self._jobs.get(job_id)
         if job is None:
             return  # cancelled or abandoned job; drop the result
+        # Feed the live feedback store — every *accounted* unit
+        # contributes its per-spec search statistics once (behind the
+        # job's duplicate guard, so a unit resubmitted after a false
+        # death verdict can never be counted twice), summed per
+        # program where it assembles: a serving session's artifact
+        # covers exactly the work its jobs accepted.
         if error is not None:
-            job._fail(unit, error)
-        elif job._deliver(digest):
-            # Feed the live feedback store — every *accounted* unit
-            # contributes its per-spec search statistics (behind the
-            # job's duplicate guard, so a unit resubmitted after a
-            # false death verdict can never be counted twice): a
-            # serving session's artifact covers exactly the work its
-            # jobs accepted.
-            for name, stats in digest.spec_stats.items():
-                self._feedback_accum.merge_stats(name, stats)
+            self._fold_units(job._fail(unit, error))
+        else:
+            stats = job._deliver(digest)
+            if stats:
+                self._fold(stats)
         if job.done:
             self._jobs.pop(job_id, None)
 
@@ -1153,13 +1258,13 @@ class ServingEngine:
                 )
                 self.resubmissions += 1
             else:
-                job._lost(unit, UnitFailure(
+                self._fold_units(job._lost(unit, UnitFailure(
                     name=unit.name,
                     suite=unit.suite,
                     function=unit.function,
                     error=reason,
                     attempts=attempt + 1,
-                ))
+                )))
                 if job.done:
                     self._jobs.pop(job_id, None)
         self._spawn_worker()

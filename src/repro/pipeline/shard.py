@@ -10,10 +10,13 @@ first and the short tail fills the gaps.  A unit's weight is a static
 proxy (:func:`unit_weight`) — source length for a program,
 instruction count for a function — cheap, available cold, and
 correlated with detection effort well enough to order the pull queue.
+Corpus sources never change, so each unit's weight is computed once per
+process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,15 +50,22 @@ def unit_weight(unit: WorkUnit) -> float:
     planner already compiled the program to enumerate its functions).
     Detection effort grows with function count and size, and both
     proxies track it well enough to order work without running
-    anything.
+    anything.  Computed once per unit for the life of the process:
+    a long-lived server re-plans the same corpus units on every
+    submit.
     """
+    return _weight(unit.name, unit.suite, unit.function)
+
+
+@functools.cache
+def _weight(name: str, suite: str, function: str | None) -> float:
     from ..workloads import program
 
-    source = program(unit.name, unit.suite)
-    if unit.function is None:
+    source = program(name, suite)
+    if function is None:
         return float(len(source.source))
-    function = source.compile().get_function(unit.function)
-    return float(1 + sum(1 for _ in function.instructions()))
+    compiled = source.compile().get_function(function)
+    return float(1 + sum(1 for _ in compiled.instructions()))
 
 
 def plan_units(

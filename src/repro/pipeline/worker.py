@@ -325,8 +325,15 @@ def detect_unit(
             )
             extended = extended + digest_extensions(matches)
             extend_seconds += time.perf_counter() - started
-        for name, stats in fr.spec_stats.items():
-            spec_stats.setdefault(name, SolverStats()).merge(stats)
+        if len(targets) == 1:
+            spec_stats = fr.spec_stats
+        else:
+            # A spec's first stats object is stored, later functions'
+            # merge into it: ``fr`` is dropped after its digest.
+            for name, stats in fr.spec_stats.items():
+                kept = spec_stats.setdefault(name, stats)
+                if kept is not stats:
+                    kept.merge(stats)
         functions.append(digest_function(fr))
         # The search state is per unit; a kept context keeps only its
         # analyses and flow memo.
