@@ -71,8 +71,8 @@ def find_reductions_in_function(
         # shared counter would have seen.
         spec_stat = SolverStats()
         solutions = detect(ctx, spec, stats=spec_stat)
-        _record(result.spec_stats, spec.name, spec_stat)
         stats.merge(spec_stat)
+        record_spec_stats(result.spec_stats, spec.name, spec_stat)
         return solutions
 
     def presolve_base(spec):
@@ -93,8 +93,8 @@ def find_reductions_in_function(
         base_stat = SolverStats()
         solutions = detect(ctx, base, stats=base_stat)
         ctx.solver_cache.store_solutions(base, solutions)
-        _record(result.spec_stats, base.name, base_stat)
         stats.merge(base_stat)
+        record_spec_stats(result.spec_stats, base.name, base_stat)
 
     presolve_base(scalar_spec)
     presolve_base(histogram_spec)
@@ -122,9 +122,14 @@ def find_reductions_in_function(
     return result
 
 
-def _record(spec_stats: dict, name: str, stats: SolverStats) -> None:
-    """File one search's fresh ``stats`` under ``name``: the first
-    object is stored as is, a later one merges into it."""
+def record_spec_stats(spec_stats: dict, name: str,
+                      stats: SolverStats) -> None:
+    """File one search's ``stats`` under ``name`` in ``spec_stats``.
+
+    The first object for a name is stored as is and later ones merge
+    into it, so the caller hands ``stats`` over: it must not be read
+    as one search's counters afterwards.
+    """
     kept = spec_stats.setdefault(name, stats)
     if kept is not stats:
         kept.merge(stats)

@@ -66,7 +66,7 @@ from ..ir.function import Function
 from ..ir.instructions import PhiInst
 from ..ir.module import Module
 from ..ir.values import Value
-from .detect import _record, module_stamp
+from .detect import module_stamp, record_spec_stats
 from .forloop import FOR_LOOP_LABEL_ORDER, for_loop_constraint, loop_invariant_in
 from .postprocess import classify_update
 from .registry import default_registry
@@ -320,7 +320,7 @@ def find_extended_in_function(
         if stats is not None:
             stats.merge(local)
         if spec_stats is not None:
-            _record(spec_stats, spec.name, local)
+            record_spec_stats(spec_stats, spec.name, local)
         return solutions
 
     for assignment in run(registry.spec("dot-product")):

@@ -512,7 +512,13 @@ class GatewayServer:
                 return
         # Admission counts the units the engine will queue: the plan
         # is made once, and enqueued as is.
-        plan = self.engine.plan(keys, priority)
+        try:
+            plan = self.engine.plan(keys, priority)
+        except Exception as exc:
+            self._fail_request(
+                conn, client_id, f"{type(exc).__name__}: {exc}"
+            )
+            return
         units = len(plan.units)
         pending = self._conn_pending(conn)
         # An idle connection is always admitted, even past the budget

@@ -242,8 +242,9 @@ def serve_worker(worker_id: int, task_conn, result_conn,
     (``result_conn``): one writer per channel, so a worker killed
     mid-send can corrupt at most its own pipe — never a lock the
     surviving workers share (the parent polls each pipe, and a broken
-    pipe *is* the death notice).  A :class:`~repro.pipeline.worker.Heartbeat`
-    thread proves liveness the whole time, so the engine can tell a
+    pipe *is* the death notice).  A
+    :class:`~repro.pipeline.worker.Heartbeat` thread proves liveness
+    the whole time, so the engine can tell a
     worker grinding through a heavy unit from a dead or hung one; a
     failed unit never kills the worker, so one bad program cannot
     take down the engine.
@@ -846,6 +847,9 @@ class ServingEngine:
         """
         if isinstance(priority, str):
             priority = JobClass(priority)
+        # Dedupe, preserving order: a repeated key would plan two
+        # identical units whose second result the duplicate guard
+        # (rightly) drops — the job must expect each unit once.
         keys = tuple(dict.fromkeys(keys if keys is not None
                                    else self.keys()))
         granularity = self.options.granularity
@@ -1100,7 +1104,7 @@ class ServingEngine:
         try:
             _wait_channels(self.channels(), self.poll_timeout())
         except OSError:  # pragma: no cover - defensive
-            return
+            pass
         self._read_channels()
         self._dispatch()
 

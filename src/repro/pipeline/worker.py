@@ -46,7 +46,11 @@ from typing import Sequence
 # never compiles modules on a unit's critical path.
 from ..baselines import icc, polly
 from ..constraints import SolverContext, SolverStats
-from ..idioms.detect import find_reductions_in_function, module_stamp
+from ..idioms.detect import (
+    find_reductions_in_function,
+    module_stamp,
+    record_spec_stats,
+)
 from ..idioms.extensions import find_extended_in_function
 from ..idioms.registry import IdiomRegistry
 from ..workloads import program
@@ -325,15 +329,10 @@ def detect_unit(
             )
             extended = extended + digest_extensions(matches)
             extend_seconds += time.perf_counter() - started
-        if len(targets) == 1:
-            spec_stats = fr.spec_stats
-        else:
-            # A spec's first stats object is stored, later functions'
-            # merge into it: ``fr`` is dropped after its digest.
-            for name, stats in fr.spec_stats.items():
-                kept = spec_stats.setdefault(name, stats)
-                if kept is not stats:
-                    kept.merge(stats)
+        # ``fr`` is dropped after its digest, so its stats objects are
+        # taken over, not copied.
+        for name, stats in fr.spec_stats.items():
+            record_spec_stats(spec_stats, name, stats)
         functions.append(digest_function(fr))
         # The search state is per unit; a kept context keeps only its
         # analyses and flow memo.
