@@ -63,7 +63,6 @@ from .core import (
     constraint_labels,
     top_level_conjuncts,
 )
-from . import plan as _plan
 from .logical import intersect_proposals
 
 
@@ -438,6 +437,12 @@ def compile_spec(spec: IdiomSpec) -> CompiledSpec:
     return compiled
 
 
+#: ``plan.detect_plan``, bound on the first :func:`detect`: the plan
+#: engine is loaded by the process that searches, not by every process
+#: that imports the solver (a serving parent forks its workers first).
+_detect_plan = None
+
+
 def detect(
     ctx: SolverContext,
     spec: IdiomSpec,
@@ -457,8 +462,10 @@ def detect(
     state (memoized proposals, solved base prefixes).  Pass a fresh
     :class:`SharedSolverCache` for fully per-call state.
     """
-    return _plan.detect_plan(ctx, spec, stats=stats, limit=limit,
-                             cache=cache)
+    global _detect_plan
+    if _detect_plan is None:
+        from .plan import detect_plan as _detect_plan
+    return _detect_plan(ctx, spec, stats=stats, limit=limit, cache=cache)
 
 
 def detect_interpreted(
