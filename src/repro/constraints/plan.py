@@ -45,7 +45,6 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from ..ir.values import Value
-from . import solver as _solver
 from .core import (
     PARTIAL_VACUOUS,
     IdiomSpec,
@@ -54,6 +53,7 @@ from .core import (
     top_level_conjuncts,
 )
 from .logical import intersect_proposals
+from .solver import SolverStats, compile_spec
 
 #: Slot value marking an unbound label.
 _UNBOUND = object()
@@ -299,7 +299,7 @@ class FlatPlan:
 
     def __init__(self, spec: IdiomSpec):
         self.spec = spec
-        compiled = _solver.compile_spec(spec)
+        compiled = compile_spec(spec)
         order = spec.label_order
         self.order = order
         self.slot_of = {label: i for i, label in enumerate(order)}
@@ -434,7 +434,7 @@ def detect_plan(
     to the interpreted engine's ``constraint_evals``.
     """
     plan = compile_plan(spec)
-    stats = stats if stats is not None else _solver.SolverStats()
+    stats = stats if stats is not None else SolverStats()
     cache = cache if cache is not None else ctx.solver_cache
     results: list[dict[str, Value]] = []
     stats.conjuncts_pruned += plan.conjuncts_pruned
@@ -649,7 +649,7 @@ def _base_solutions(ctx, spec, stats, cache, limit):
     if solutions is None:
         if limit is not None:
             return None
-        base_stats = _solver.SolverStats()
+        base_stats = SolverStats()
         solutions = detect_plan(ctx, base, stats=base_stats, cache=cache)
         cache.store_solutions(base, solutions)
         base_stats.solutions = 0
