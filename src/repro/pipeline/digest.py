@@ -126,24 +126,37 @@ class UnitDigest:
         return (self.name, self.suite)
 
 
-def merge_spec_stats(units) -> dict:
-    """Per-spec stats summed across digests, into fresh objects.
+def fold_spec_stats(into: dict, spec_stats: dict) -> dict:
+    """Add one unit's per-spec stats to the running sum ``into``.
 
-    Order-canonical by construction — :meth:`SolverStats.merge
-    <repro.constraints.SolverStats.merge>` only sums — so any arrival
-    order of the same units produces an equal mapping.  A single
-    digest's mapping is copied, its stats objects shared.
+    ``into`` holds fresh objects (a spec's first stats are copied,
+    later ones summed into the copy), so folding never mutates the
+    unit's own counters.  Order-canonical by construction —
+    :meth:`SolverStats.merge <repro.constraints.SolverStats.merge>`
+    only sums — so any arrival order of the same units produces an
+    equal mapping.  Returns ``into``.
     """
+    for name, stats in spec_stats.items():
+        kept = into.get(name)
+        if kept is None:
+            kept = into[name] = SolverStats()
+        kept.merge(stats)
+    return into
+
+
+def merge_spec_stats(units) -> dict:
+    """Per-spec stats summed across digests, into fresh objects
+    (:func:`fold_spec_stats`).  A single digest's mapping is copied,
+    its stats objects shared."""
     if len(units) == 1:
         return dict(units[0].spec_stats)
     merged: dict[str, SolverStats] = {}
     for unit in units:
-        for name, stats in unit.spec_stats.items():
-            merged.setdefault(name, SolverStats()).merge(stats)
+        fold_spec_stats(merged, unit.spec_stats)
     return merged
 
 
-def assemble_program(units) -> ProgramDigest:
+def assemble_program(units, spec_stats: dict | None = None) -> ProgramDigest:
     """Checked reassembly of one program from its unit digests.
 
     Units must cover indices ``0..total-1`` exactly once (a whole
@@ -154,6 +167,11 @@ def assemble_program(units) -> ProgramDigest:
     they are ``compare=False`` metadata, so the merge cannot perturb
     fingerprints.  Baseline results come from the one unit that ran
     the program-level stages.
+
+    ``spec_stats`` is the program's per-spec sum when the caller
+    folded it while the units arrived (:func:`fold_spec_stats`; the
+    serving engine keeps only the units' detections); by default the
+    units' own statistics are merged (:func:`merge_spec_stats`).
     """
     units = sorted(units, key=lambda u: u.index)
     if not units:
@@ -198,7 +216,9 @@ def assemble_program(units) -> ProgramDigest:
         polly_scops=lead.polly_scops if lead else None,
         polly_reductions=lead.polly_reductions if lead else None,
         stage_seconds=stage_seconds,
-        spec_stats=merge_spec_stats(units),
+        spec_stats=(
+            merge_spec_stats(units) if spec_stats is None else spec_stats
+        ),
     )
 
 

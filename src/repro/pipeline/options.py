@@ -87,15 +87,17 @@ class PipelineOptions:
     max_unit_retries: int = 2
     #: Worker pool (serving sessions and ``detect_corpus(jobs>1)``):
     #: units queued on each worker *beyond* the one it is running (its
-    #: dispatch window is ``1 + prefetch_units``).  Prefetching hides the parent's dispatch
-    #: latency — a worker finishing a unit starts the next one from its
-    #: own queue instead of idling a round-trip through the supervisor
-    #: (measured in ``results/BENCH_gateway.json``).  A dead worker's
-    #: whole window is recovered: every queued unit is resubmitted,
-    #: exactly like the in-flight one.  0 restores depth-one dispatch,
-    #: where a later interactive submit overtakes at every unit
-    #: boundary instead of every window boundary.  Reports are
-    #: identical either way; only latency moves.
+    #: dispatch window is ``1 + prefetch_units``).  Prefetching hides
+    #: the parent's dispatch latency — a worker finishing a unit starts
+    #: the next one from its own queue instead of idling a round-trip
+    #: through the supervisor (measured by
+    #: ``benchmarks/bench_gateway.py``, whose
+    #: ``results/BENCH_gateway.json`` is a CI artifact, not a file in
+    #: the tree).  A dead worker's whole window is recovered: every
+    #: queued unit is resubmitted, exactly like the in-flight one.
+    #: 0 restores depth-one dispatch, where a later interactive
+    #: submit overtakes at every unit boundary instead of every window
+    #: boundary.  Reports are identical either way; only latency moves.
     prefetch_units: int = 1
     #: Per-worker compiled-module cache bound: a worker keeps at most
     #: this many compiled programs, evicting least-recently-used

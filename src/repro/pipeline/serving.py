@@ -77,7 +77,7 @@ import time
 import warnings
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _wait_channels
 from typing import Iterator, Sequence
 
@@ -87,6 +87,7 @@ from .digest import (
     UnitDigest,
     UnitFailure,
     assemble_program,
+    fold_spec_stats,
 )
 from .engine import planned_keys, resolve_feedback_with_store
 from .feedback import FeedbackStore, canonical_orders
@@ -388,8 +389,11 @@ class ServingJob:
         self.keys = keys
         self.priority = priority
         self._pending_units = unit_count
-        #: Units delivered for programs not yet assembled or failed.
+        #: Units delivered for programs not yet assembled or failed,
+        #: held without their per-spec statistics: those are summed
+        #: per program as the units arrive, in ``_spec_sums``.
         self._by_key: dict[Key, list[UnitDigest]] = {}
+        self._spec_sums: dict[Key, dict] = {}
         self._remaining: dict[Key, int] = {}
         self._failed_keys: set[Key] = set()
         self._completed: list[ProgramDigest] = []
@@ -458,9 +462,13 @@ class ServingJob:
         return True
 
     # The feedback hand-off: every accounted unit's per-spec statistics
-    # reach the engine exactly once — summed per assembled program, or
-    # unit by unit for a program that will never assemble (failed,
-    # lost, or its job cancelled, abandoned or shut down).
+    # reach the engine exactly once.  A program's units are summed as
+    # they arrive (the job keeps the running sum, never a unit's own
+    # stats); the sum goes to the engine when the program assembles,
+    # or when it never will (failed, lost, or its job cancelled,
+    # abandoned or shut down).  A unit of an already-failed program
+    # hands over its own.  Every field is a sum, so the engine's
+    # feedback equals the per-unit fold.
 
     def _deliver(self, digest: UnitDigest) -> dict | None:
         """Account one unit result.
@@ -475,41 +483,54 @@ class ServingJob:
             return None
         if key in self._failed_keys:
             return digest.spec_stats
+        sums = fold_spec_stats(
+            self._spec_sums.setdefault(key, {}), digest.spec_stats
+        )
         units = self._by_key.setdefault(key, [])
-        units.append(digest)
+        units.append(replace(digest, spec_stats={}))
         if self._remaining[key]:
             return {}
-        del self._by_key[key]
-        program = assemble_program(units)
+        self._drop(key)
+        program = assemble_program(units, spec_stats=sums)
         self._completed.append(program)
         return program.spec_stats
 
-    def _fail(self, unit: WorkUnit, message: str) -> list[UnitDigest]:
+    def _drop(self, key: Key) -> dict:
+        """Forget an unassembled program's units; returns their
+        per-spec sum."""
+        self._by_key.pop(key, None)
+        return self._spec_sums.pop(key, {})
+
+    def _fail(self, unit: WorkUnit, message: str) -> dict:
         """Account a unit that raised in its worker; returns the
-        program's delivered units, which will never assemble."""
+        per-spec sum of the program's delivered units, which will
+        never assemble."""
         if not self._account(unit.key, unit.function):
-            return []
+            return {}
         self._failed_keys.add(unit.key)
         self._errors.append(f"{unit.key}/{unit.function or '*'}: {message}")
-        return self._by_key.pop(unit.key, [])
+        return self._drop(unit.key)
 
-    def _lost(self, unit: WorkUnit, failure: UnitFailure) -> list[UnitDigest]:
+    def _lost(self, unit: WorkUnit, failure: UnitFailure) -> dict:
         """A unit abandoned after bounded retries: structured failure,
         not a hung job and not an exception — the rest of the report
         still completes and carries the :class:`UnitFailure`.  Returns
-        the program's delivered units, like :meth:`_fail`."""
+        the per-spec sum of the program's delivered units, like
+        :meth:`_fail`."""
         if not self._account(unit.key, unit.function):
-            return []
+            return {}
         self._failed_keys.add(unit.key)
         self._failures.append(failure)
-        return self._by_key.pop(unit.key, [])
+        return self._drop(unit.key)
 
-    def _drop_partial(self) -> list[UnitDigest]:
-        """The delivered units of every unassembled program, removed:
-        the job stops here (cancelled, abandoned or shut down)."""
-        units = [unit for units in self._by_key.values() for unit in units]
+    def _drop_partial(self) -> list[dict]:
+        """The per-spec sums of every unassembled program, whose units
+        are dropped: the job stops here (cancelled, abandoned or shut
+        down)."""
+        sums = list(self._spec_sums.values())
         self._by_key.clear()
-        return units
+        self._spec_sums.clear()
+        return sums
 
     # -- consumer API --------------------------------------------------------
 
@@ -797,7 +818,7 @@ class ServingEngine:
             if not job.done and not job.cancelled:
                 job._errors.append("engine shut down with the job pending")
                 job._pending_units = 0
-            self._fold_units(job._drop_partial())
+            self._fold_each(job._drop_partial())
         self._jobs.clear()
         self._scheduler = PriorityScheduler()
         for handle in self._workers.values():
@@ -995,12 +1016,12 @@ class ServingEngine:
     def _cancel(self, job: ServingJob) -> int:
         drained = self._scheduler.purge(job.job_id)
         self._jobs.pop(job.job_id, None)
-        self._fold_units(job._drop_partial())
+        self._fold_each(job._drop_partial())
         return drained
 
     def _abandon(self, job: ServingJob) -> None:
         self._jobs.pop(job.job_id, None)
-        self._fold_units(job._drop_partial())
+        self._fold_each(job._drop_partial())
         if self.running:
             self._scheduler.purge(job.job_id)
 
@@ -1009,9 +1030,9 @@ class ServingEngine:
         for name, stats in spec_stats.items():
             self._feedback_accum.merge_stats(name, stats)
 
-    def _fold_units(self, units) -> None:
-        for unit in units:
-            self._fold(unit.spec_stats)
+    def _fold_each(self, spec_sums) -> None:
+        for spec_stats in spec_sums:
+            self._fold(spec_stats)
 
     # -- the dispatcher ------------------------------------------------------
 
@@ -1166,10 +1187,10 @@ class ServingEngine:
         # contributes its per-spec search statistics once (behind the
         # job's duplicate guard, so a unit resubmitted after a false
         # death verdict can never be counted twice), summed per
-        # program where it assembles: a serving session's artifact
+        # program as its units arrive: a serving session's artifact
         # covers exactly the work its jobs accepted.
         if error is not None:
-            self._fold_units(job._fail(unit, error))
+            self._fold(job._fail(unit, error))
         else:
             stats = job._deliver(digest)
             if stats:
@@ -1262,7 +1283,7 @@ class ServingEngine:
                 )
                 self.resubmissions += 1
             else:
-                self._fold_units(job._lost(unit, UnitFailure(
+                self._fold(job._lost(unit, UnitFailure(
                     name=unit.name,
                     suite=unit.suite,
                     function=unit.function,

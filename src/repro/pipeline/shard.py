@@ -11,7 +11,9 @@ proxy (:func:`unit_weight`) — source length for a program,
 instruction count for a function — cheap, available cold, and
 correlated with detection effort well enough to order the pull queue.
 Corpus sources never change, so each unit's weight is computed once per
-process.
+process.  A program's functions are listed and weighed from a
+per-process function index that keeps no IR, so a serving parent
+plans function units without holding a compiled module per program.
 """
 
 from __future__ import annotations
@@ -45,27 +47,46 @@ class WorkUnit:
 def unit_weight(unit: WorkUnit) -> float:
     """Static cost proxy for one work unit.
 
-    Whole programs weigh their source length; function units weigh the
-    function's instruction count (from the cached compile — the unit
-    planner already compiled the program to enumerate its functions).
-    Detection effort grows with function count and size, and both
-    proxies track it well enough to order work without running
-    anything.  Computed once per unit for the life of the process:
-    a long-lived server re-plans the same corpus units on every
-    submit.
+    Whole programs weigh their source length; function units weigh
+    1 + the function's instruction count, read from the program's
+    function index (the one the unit planner built to enumerate its
+    functions).  Detection effort grows with function count and
+    size, and both proxies track it well enough to order work
+    without running anything.  Computed once per unit for the life
+    of the process: a long-lived server re-plans the same corpus
+    units on every submit.
     """
     return _weight(unit.name, unit.suite, unit.function)
 
 
 @functools.cache
 def _weight(name: str, suite: str, function: str | None) -> float:
+    if function is None:
+        from ..workloads import program
+
+        return float(len(program(name, suite).source))
+    return _function_index(name, suite)[function]
+
+
+@functools.cache
+def _function_index(name: str, suite: str) -> dict[str, float]:
+    """Each defined function of a corpus program → its unit weight
+    (1 + instruction count), in module order.
+
+    Built once per process from a ``fresh_module()`` compile that is
+    dropped straight after, never from the program's cached
+    ``compile()``: planning
+    function units needs only names and sizes, and a long-lived
+    serving parent would otherwise keep every planned program's IR
+    for its whole life.  Callers must not mutate the returned dict.
+    """
     from ..workloads import program
 
-    source = program(name, suite)
-    if function is None:
-        return float(len(source.source))
-    compiled = source.compile().get_function(function)
-    return float(1 + sum(1 for _ in compiled.instructions()))
+    module = program(name, suite).fresh_module()
+    return {
+        function.name: float(1 + sum(1 for _ in function.instructions()))
+        for function in module.defined_functions()
+    }
 
 
 def plan_units(
@@ -87,12 +108,9 @@ def plan_units(
         )
     if granularity == "program":
         return [WorkUnit(name, suite) for name, suite in keys]
-    from ..workloads import program
-
     units: list[WorkUnit] = []
     for name, suite in keys:
-        module = program(name, suite).compile()
-        functions = [f.name for f in module.defined_functions()]
+        functions = _function_index(name, suite)
         if not functions:
             units.append(WorkUnit(name, suite))
             continue
@@ -108,8 +126,8 @@ def lpt_order(units: Sequence[WorkUnit]) -> list[WorkUnit]:
 
     The longest-processing-time service order of the serving engine,
     whose workers pull from one queue in this order.  Each unit's
-    :func:`unit_weight` is evaluated exactly once (it may load and
-    compile a program); the sort is stable, so equal weights keep
-    their input order.
+    :func:`unit_weight` is evaluated exactly once (it may load a
+    program and build its function index); the sort is stable, so
+    equal weights keep their input order.
     """
     return sorted(units, key=unit_weight, reverse=True)

@@ -211,21 +211,60 @@ def test_shutdown_fails_pending_jobs_instead_of_hanging():
     assert len(report.programs) == 2
 
 
-def test_shutdown_wakes_a_consumer_blocked_in_result():
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the blocking unit is inherited through fork",
+)
+def test_shutdown_wakes_a_consumer_blocked_in_result(monkeypatch):
     """Bugfix regression: ``shutdown()`` used to fail only jobs nobody
     was waiting on — a consumer thread already *blocked* inside
     ``stream()``/``result()`` kept pumping forever (worse: it could
     misread the deliberately-exiting workers' closed pipes as deaths
     and respawn workers into the pool being dismantled).  Shutdown
     must raise promptly in the blocked consumer, with zero recorded
-    worker deaths."""
+    worker deaths.
+
+    The job is held open by construction: its heaviest unit blocks in
+    its worker on a pipe that only ``shutdown()`` writes to, so the
+    job cannot complete before shutdown begins, however fast the
+    rest of the corpus is served."""
     import threading
     import time
 
-    options = PipelineOptions(jobs=2, granularity="function")
+    import repro.pipeline.serving as serving_module
+    from repro.pipeline import lpt_order, plan_units
+
+    gate_read, gate_write = os.pipe()
+    blocker = lpt_order(plan_units(KEYS, "function"))[0]
+    real_detect = serving_module.detect_unit
+
+    def detect(unit, *args, **kwargs):
+        if unit == blocker:
+            os.read(gate_read, 1)  # until shutdown has begun
+        return real_detect(unit, *args, **kwargs)
+
+    monkeypatch.setattr(serving_module, "detect_unit", detect)
+    options = PipelineOptions(jobs=2, granularity="function",
+                              start_method="fork")
     engine = ServingEngine(options).start()
-    job = engine.submit()  # the whole corpus: nowhere near done
+    real_shutdown = engine.shutdown
+
+    def shutdown():
+        os.write(gate_write, b"x")
+        real_shutdown()
+
+    monkeypatch.setattr(engine, "shutdown", shutdown)
+    job = engine.submit(KEYS)
     outcome = []
+    pumping = threading.Event()
+    real_pump = engine._pump
+
+    def pump():
+        if threading.current_thread() is consumer:
+            pumping.set()
+        return real_pump()
+
+    monkeypatch.setattr(engine, "_pump", pump)
 
     def consume():
         try:
@@ -236,11 +275,16 @@ def test_shutdown_wakes_a_consumer_blocked_in_result():
 
     consumer = threading.Thread(target=consume, daemon=True)
     consumer.start()
-    time.sleep(0.5)  # let the consumer block in the pump loop
-    started = time.monotonic()
-    engine.shutdown()
-    consumer.join(timeout=15)
-    woken_after = time.monotonic() - started
+    try:
+        assert pumping.wait(timeout=60), "consumer never entered result()"
+        started = time.monotonic()
+        engine.shutdown()
+        consumer.join(timeout=15)
+        woken_after = time.monotonic() - started
+    finally:
+        shutdown()  # idempotent; opens the gate if an assert fired first
+        os.close(gate_read)
+        os.close(gate_write)
     assert not consumer.is_alive(), "consumer never woke from shutdown"
     assert woken_after < 15
     assert outcome and isinstance(outcome[0], RuntimeError)
@@ -248,7 +292,9 @@ def test_shutdown_wakes_a_consumer_blocked_in_result():
     # The exiting workers' EOFs were not misread as deaths.
     assert engine.worker_deaths == 0
     assert not engine.running
-    # And the engine restarts cleanly after the concurrent teardown.
+    # And the engine restarts cleanly after the concurrent teardown,
+    # with workers that run every unit unpatched.
+    monkeypatch.undo()
     with engine:
         report = engine.serve(KEYS[:2])
     assert len(report.programs) == 2

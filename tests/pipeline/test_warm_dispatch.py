@@ -17,6 +17,7 @@ import os
 import pytest
 
 import repro.pipeline.serving as serving_module
+from repro.constraints import SolverStats
 from repro.pipeline import (
     FeedbackStore,
     GatewayClient,
@@ -176,17 +177,21 @@ def test_a_report_without_programs_rebuilds_from_its_digests():
 
 @needs_fork
 def test_feedback_snapshot_equals_the_per_unit_fold(monkeypatch, tmp_path):
-    """Feedback folded per assembled program — and, for programs that
-    never assemble, per dropped unit — is byte-identical to folding
-    every accounted unit as it arrives, after a session with a
-    cancelled job and a unit that raised in its worker."""
+    """Feedback summed per program as its units arrive — handed over
+    when the program assembles, fails or is dropped — is
+    byte-identical to folding every accounted unit as it arrives,
+    after a session with a cancelled job and a unit that raised in its
+    worker."""
     delivered = []
     real_deliver = ServingJob._deliver
 
     def recording(job, digest):
+        # Copied on delivery: the job keeps no unit's statistics.
+        copied = {name: SolverStats().merge(stats)
+                  for name, stats in digest.spec_stats.items()}
         folded = real_deliver(job, digest)
         if folded is not None:  # accounted, not a duplicate
-            delivered.append(digest)
+            delivered.append(copied)
         return folded
 
     monkeypatch.setattr(ServingJob, "_deliver", recording)
@@ -195,7 +200,8 @@ def test_feedback_snapshot_equals_the_per_unit_fold(monkeypatch, tmp_path):
 
     def recording_fail(job, unit, message):
         dropped = real_fail(job, unit, message)
-        dropped_at_failure.extend(dropped)
+        if dropped:
+            dropped_at_failure.append(dropped)
         return dropped
 
     monkeypatch.setattr(ServingJob, "_fail", recording_fail)
@@ -233,8 +239,8 @@ def test_feedback_snapshot_equals_the_per_unit_fold(monkeypatch, tmp_path):
     assert dropped_at_failure  # the failed program had delivered units
 
     per_unit = FeedbackStore()
-    for digest in delivered:
-        for name, stats in digest.spec_stats.items():
+    for spec_stats in delivered:
+        for name, stats in spec_stats.items():
             per_unit.merge_stats(name, stats)
     save_feedback(snapshot, str(tmp_path / "snapshot.json"))
     save_feedback(per_unit, str(tmp_path / "per_unit.json"))
