@@ -1,8 +1,9 @@
 """Dominator and post-dominator trees (Cooper–Harvey–Kennedy algorithm).
 
 These back the ``dominate``/``postdominate`` constraint atoms and the
-SESE region construction, and they drive PHI placement in mem2reg via
-dominance frontiers.  Post-dominators are computed as dominators of the
+SESE region construction; dominance frontiers drive PHI placement in
+the mem2reg pass (which compilation no longer runs: lowering builds
+SSA directly).  Post-dominators are computed as dominators of the
 reversed CFG, with a virtual root joining all exit blocks.
 """
 

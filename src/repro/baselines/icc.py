@@ -113,8 +113,9 @@ def _analyze_loop(function: Function, loop: Loop,
                         )
 
     # Scalar stores to globals whose address is loop invariant are the
-    # in-memory accumulators; after mem2reg these appear as PHIs, so a
-    # direct store inside the loop means the dependence is unresolved.
+    # in-memory accumulators; a scalar local accumulator is a PHI in the
+    # SSA form lowering builds, so a direct store inside the loop means
+    # the dependence is unresolved.
     reductions = []
     iterator = bounds.iterator
     for phi in loop.header.phis():

@@ -1,14 +1,13 @@
 """Mini-C frontend: lexer, parser, sema and SSA lowering.
 
 The main entry point is :func:`compile_source`, which runs the whole
-pipeline (parse → lower → prune → mem2reg → cleanup → verify) and
-returns a verified SSA :class:`~repro.ir.module.Module`.
+pipeline (parse → lower to SSA → prune → cleanup → verify) and returns
+a verified SSA :class:`~repro.ir.module.Module`.
 """
 
 from ..ir import Module, verify_module
 from ..passes.cse import local_cse
 from ..passes.licm import hoist_invariant_loads
-from ..passes.mem2reg import promote_allocas
 from ..passes.simplify import (
     dead_code_elimination,
     merge_straightline_blocks,
@@ -42,13 +41,12 @@ def compile_source(source: str, name: str = "module") -> Module:
     """Compile mini-C ``source`` to a verified SSA module.
 
     The output is in the canonical shape the idiom specifications
-    expect: scalar locals promoted to PHI-based SSA, unreachable
+    expect: scalar locals as PHI-based SSA values, unreachable
     lowering scaffolding pruned, straight-line blocks merged.
     """
     module = lower_source(source, name)
     for function in module.defined_functions():
         remove_unreachable_blocks(function)
-        promote_allocas(function)
         dead_code_elimination(function)
         remove_trivial_phis(function)
         merge_straightline_blocks(function)

@@ -1,13 +1,18 @@
 """AST → SSA IR lowering.
 
 Lowering follows the clang playbook the paper's constraint
-specifications were written against:
+specifications were written against, and builds SSA on the way:
 
-* every local variable becomes an ``alloca`` in the entry block, reads
-  become loads and writes become stores — the mem2reg pass then
-  promotes scalars to SSA values, introducing the PHI nodes the
+* scalar locals and parameters never touch memory: each read and
+  write goes through the SSA construction of Braun et al. ("Simple and
+  Efficient Construction of Static Single Assignment Form", CC 2013;
+  :mod:`repro.frontend.ssa`), which introduces the PHI nodes the
   for-loop and reduction specifications match (§3.1.1: *"due to the
-  introduction of PHI nodes in the SSA intermediate representation"*);
+  introduction of PHI nodes in the SSA intermediate representation"*)
+  — the same PHI-based form LLVM's mem2reg produces from clang's
+  allocas;
+* local arrays stay ``alloca``s in the entry block, and global scalars
+  and arrays are accessed through loads and stores;
 * ``for`` loops are emitted in the canonical shape of Fig. 5 —
   dedicated header with the exit comparison, body region, separate
   latch holding the increment and the back edge;
@@ -71,9 +76,11 @@ from .sema import (
     ConstEvaluator,
     SemaError,
     Signature,
+    _fold_binary,
     collect_signatures,
     intrinsic_signature,
 )
+from .ssa import SSABuilder, Variable
 
 
 class LoweringError(Exception):
@@ -98,7 +105,8 @@ def _ir_type(ctype: CType) -> Type:
 
 
 class _Slot:
-    """A named storage location visible to expressions."""
+    """A named storage location visible to expressions: an array, a
+    global, or a pointer parameter (whose ``pointer`` is the argument)."""
 
     def __init__(
         self,
@@ -201,17 +209,29 @@ class ModuleLowering:
 
 
 class FunctionLowering:
-    """Lowers one function body."""
+    """Lowers one function body, building SSA as it goes.
+
+    Scalar variables go through an :class:`~repro.frontend.ssa.SSABuilder`.
+    Lowering enters every block only after emitting all branches into
+    it, so the block is sealed on entry; a loop header is entered
+    unsealed and sealed after its back edge.
+    """
 
     def __init__(self, parent: ModuleLowering, func_def: FuncDef):
         self.parent = parent
         self.func_def = func_def
         self.function = parent.module.get_function(func_def.name)
         self.builder = IRBuilder()
-        self.scopes: list[dict[str, _Slot]] = [{}]
+        self.scopes: list[dict[str, _Slot | Variable]] = [{}]
         self.loop_stack: list[tuple[BasicBlock, BasicBlock]] = []
         self.entry_block: BasicBlock | None = None
         self._alloca_count = 0
+        self._variable_count = 0
+        self.ssa: SSABuilder | None = None
+        #: Constants written to a variable, by id.  They are not folded
+        #: where they are read back, just as the loads mem2reg replaced
+        #: were not.
+        self._variable_constants: dict[int, Value] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -222,37 +242,67 @@ class FunctionLowering:
         self._alloca_count += 1
         return alloca
 
-    def _lookup(self, name: str) -> _Slot | None:
+    def _new_variable(self, type: Type, name: str) -> Variable:
+        variable = Variable(type, name, self._variable_count)
+        self._variable_count += 1
+        return variable
+
+    def _lookup(self, name: str) -> _Slot | Variable | None:
         for scope in reversed(self.scopes):
             if name in scope:
                 return scope[name]
         return self.parent.global_slots.get(name)
 
-    def _define_local(self, name: str, slot: _Slot) -> None:
+    def _define_local(self, name: str, slot: _Slot | Variable) -> None:
         self.scopes[-1][name] = slot
 
     def _terminated(self) -> bool:
         block = self.builder.block
         return block is not None and block.terminator is not None
 
+    def _branch(self, target: BasicBlock) -> None:
+        self.ssa.edge(self.builder.block, target)
+        self.builder.br(target)
+
+    def _cond_branch(
+        self, condition: Value, if_true: BasicBlock, if_false: BasicBlock
+    ) -> None:
+        block = self.builder.block
+        self.ssa.edge(block, if_true)
+        self.ssa.edge(block, if_false)
+        self.builder.cond_br(condition, if_true, if_false)
+
+    def _enter(self, block: BasicBlock, seal: bool = True) -> None:
+        self.builder.position_at_end(block)
+        self.ssa.enter(block, seal)
+
+    def _write(self, variable: Variable, value: Value) -> None:
+        if isinstance(value, (ConstantInt, ConstantFloat)):
+            self._variable_constants[id(value)] = value
+        self.ssa.write(variable, self.builder.block, value)
+
+    def _read(self, variable: Variable) -> Value:
+        return self.ssa.read(variable, self.builder.block)
+
     # -- entry point -----------------------------------------------------------
 
     def lower(self) -> None:
         """Lower the whole function body."""
-        self.entry_block = self.function.add_block("entry")
+        entry = self.entry_block = self.function.add_block("entry")
         start = self.function.add_block("start")
-        self.builder.position_at_end(start)
+        self.ssa = SSABuilder(entry)
+        self.ssa.edge(entry, start)
+        self._enter(start)
         for argument, param in zip(self.function.args, self.func_def.params):
-            slot_type = _ir_type(param.type)
-            alloca = self._new_alloca(slot_type, 1, f"{param.name}.addr")
-            self.builder.store(argument, alloca)
             if param.type.pointer > 0:
                 element = _ir_scalar_type(param.type.base)
                 self._define_local(
-                    param.name, _Slot(alloca, element, is_pointer_var=True)
+                    param.name, _Slot(argument, element, is_pointer_var=True)
                 )
             else:
-                self._define_local(param.name, _Slot(alloca, slot_type))
+                variable = self._new_variable(argument.type, f"{param.name}.addr")
+                self._define_local(param.name, variable)
+                self._write(variable, argument)
         self.lower_statement(self.func_def.body)
         if not self._terminated():
             return_type = self.function.type.return_type
@@ -262,8 +312,8 @@ class FunctionLowering:
                 self.builder.ret(const_float(0.0))
             else:
                 self.builder.ret(const_int(0))
-        entry_builder = IRBuilder(self.entry_block)
-        entry_builder.br(start)
+        IRBuilder(entry).br(start)
+        self.ssa.finish(self.function)
 
     # -- statements ---------------------------------------------------------
 
@@ -271,8 +321,7 @@ class FunctionLowering:
         if self._terminated():
             # Code after return/break: lower into a fresh unreachable
             # block, pruned later.
-            dead = self.function.add_block("dead")
-            self.builder.position_at_end(dead)
+            self._enter(self.function.add_block("dead"))
         if isinstance(stmt, Block):
             self.scopes.append({})
             for child in stmt.statements:
@@ -297,11 +346,11 @@ class FunctionLowering:
         elif isinstance(stmt, Break):
             if not self.loop_stack:
                 raise LoweringError("break outside of a loop")
-            self.builder.br(self.loop_stack[-1][1])
+            self._branch(self.loop_stack[-1][1])
         elif isinstance(stmt, Continue):
             if not self.loop_stack:
                 raise LoweringError("continue outside of a loop")
-            self.builder.br(self.loop_stack[-1][0])
+            self._branch(self.loop_stack[-1][0])
         elif isinstance(stmt, Return):
             self._lower_return(stmt)
         else:
@@ -324,14 +373,27 @@ class FunctionLowering:
             if stmt.init is not None:
                 raise LoweringError("array initializers are not supported")
             return
-        alloca = self._new_alloca(element_type, 1, stmt.name)
-        self._define_local(stmt.name, _Slot(alloca, element_type))
+        variable = self._new_variable(element_type, stmt.name)
+        self._define_local(stmt.name, variable)
         if stmt.init is not None:
             value = self.lower_expr(stmt.init)
-            self.builder.store(self._coerce(value, element_type), alloca)
+            self._write(variable, self._coerce(value, element_type))
 
     def _lower_assign(self, stmt: Assign) -> None:
-        address, element_type = self.lvalue_address(stmt.target)
+        target = stmt.target
+        variable = (
+            self._lookup(target.name) if isinstance(target, Var) else None
+        )
+        if variable.__class__ is Variable:
+            if stmt.op == "=":
+                value = self.lower_expr(stmt.value)
+            else:
+                current = self._read(variable)
+                rhs = self.lower_expr(stmt.value)
+                value = self._arith(stmt.op[:-1], current, rhs)
+            self._write(variable, self._coerce(value, variable.type))
+            return
+        address, element_type = self.lvalue_address(target)
         if stmt.op == "=":
             value = self.lower_expr(stmt.value)
             self.builder.store(self._coerce(value, element_type), address)
@@ -349,16 +411,16 @@ class FunctionLowering:
             self.function.add_block("if.else") if stmt.orelse else join_block
         )
         self.lower_branch_condition(stmt.cond, then_block, else_block)
-        self.builder.position_at_end(then_block)
+        self._enter(then_block)
         self.lower_statement(stmt.then)
         if not self._terminated():
-            self.builder.br(join_block)
+            self._branch(join_block)
         if stmt.orelse is not None:
-            self.builder.position_at_end(else_block)
+            self._enter(else_block)
             self.lower_statement(stmt.orelse)
             if not self._terminated():
-                self.builder.br(join_block)
-        self.builder.position_at_end(join_block)
+                self._branch(join_block)
+        self._enter(join_block)
 
     def _lower_for(self, stmt: For) -> None:
         if stmt.init is not None:
@@ -367,38 +429,40 @@ class FunctionLowering:
         body = self.function.add_block("for.body")
         latch = self.function.add_block("for.inc")
         exit_block = self.function.add_block("for.end")
-        self.builder.br(header)
-        self.builder.position_at_end(header)
+        self._branch(header)
+        self._enter(header, seal=False)
         if stmt.cond is not None:
             self.lower_branch_condition(stmt.cond, body, exit_block)
         else:
-            self.builder.br(body)
-        self.builder.position_at_end(body)
+            self._branch(body)
+        self._enter(body)
         self.loop_stack.append((latch, exit_block))
         self.lower_statement(stmt.body)
         self.loop_stack.pop()
         if not self._terminated():
-            self.builder.br(latch)
-        self.builder.position_at_end(latch)
+            self._branch(latch)
+        self._enter(latch)
         if stmt.step is not None:
             self.lower_statement(stmt.step)
-        self.builder.br(header)
-        self.builder.position_at_end(exit_block)
+        self._branch(header)
+        self.ssa.seal(header)
+        self._enter(exit_block)
 
     def _lower_while(self, stmt: While) -> None:
         header = self.function.add_block("while.cond")
         body = self.function.add_block("while.body")
         exit_block = self.function.add_block("while.end")
-        self.builder.br(header)
-        self.builder.position_at_end(header)
+        self._branch(header)
+        self._enter(header, seal=False)
         self.lower_branch_condition(stmt.cond, body, exit_block)
-        self.builder.position_at_end(body)
+        self._enter(body)
         self.loop_stack.append((header, exit_block))
         self.lower_statement(stmt.body)
         self.loop_stack.pop()
         if not self._terminated():
-            self.builder.br(header)
-        self.builder.position_at_end(exit_block)
+            self._branch(header)
+        self.ssa.seal(header)
+        self._enter(exit_block)
 
     def _lower_return(self, stmt: Return) -> None:
         return_type = self.function.type.return_type
@@ -421,20 +485,20 @@ class FunctionLowering:
         if isinstance(expr, Binary) and expr.op == "&&":
             mid = self.function.add_block("land")
             self.lower_branch_condition(expr.lhs, mid, false_block)
-            self.builder.position_at_end(mid)
+            self._enter(mid)
             self.lower_branch_condition(expr.rhs, true_block, false_block)
             return
         if isinstance(expr, Binary) and expr.op == "||":
             mid = self.function.add_block("lor")
             self.lower_branch_condition(expr.lhs, true_block, mid)
-            self.builder.position_at_end(mid)
+            self._enter(mid)
             self.lower_branch_condition(expr.rhs, true_block, false_block)
             return
         if isinstance(expr, Unary) and expr.op == "!":
             self.lower_branch_condition(expr.operand, false_block, true_block)
             return
         condition = self._as_bool(self.lower_expr(expr))
-        self.builder.cond_br(condition, true_block, false_block)
+        self._cond_branch(condition, true_block, false_block)
 
     # -- expressions -----------------------------------------------------------
 
@@ -471,7 +535,9 @@ class FunctionLowering:
         slot = self._lookup(expr.name)
         if slot is None:
             raise LoweringError(f"unknown variable {expr.name!r}")
-        if slot.dims:
+        if slot.__class__ is Variable:
+            return self._read(slot)
+        if slot.dims or slot.is_pointer_var:
             # Arrays decay to a pointer to their first element.
             return slot.pointer
         return self.builder.load(slot.pointer, expr.name)
@@ -545,8 +611,9 @@ class FunctionLowering:
         """Fold arithmetic on literal operands (loop bounds like
         ``n - 1`` must lower to constants for the analyses to see a
         static iteration space)."""
-        from .sema import _fold_binary
-
+        constants = self._variable_constants
+        if id(lhs) in constants or id(rhs) in constants:
+            return None
         if isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt):
             value = _fold_binary(op, lhs.value, rhs.value)
             if isinstance(value, int):
@@ -617,14 +684,15 @@ class FunctionLowering:
         slot = self._lookup(expr.base.name)
         if slot is None:
             raise LoweringError(f"unknown array {expr.base.name!r}")
+        if slot.__class__ is Variable:
+            raise LoweringError(f"{expr.base.name!r} is not an array")
         if slot.is_pointer_var:
             if len(expr.indices) != 1:
                 raise LoweringError(
                     f"pointer {expr.base.name!r} takes exactly one index"
                 )
-            pointer = self.builder.load(slot.pointer, expr.base.name)
             index = self._coerce(self.lower_expr(expr.indices[0]), INT64)
-            address = self.builder.gep(pointer, index, "arrayidx")
+            address = self.builder.gep(slot.pointer, index, "arrayidx")
             return address, slot.element_type
         if not slot.dims:
             raise LoweringError(f"{expr.base.name!r} is not an array")
@@ -656,13 +724,19 @@ class FunctionLowering:
         if value.type == target:
             return value
         if target == DOUBLE:
-            if isinstance(value, ConstantInt):
+            if (
+                isinstance(value, ConstantInt)
+                and id(value) not in self._variable_constants
+            ):
                 return const_float(float(value.value))
             if value.type == INT1:
                 value = self.builder.cast("zext", value, INT64, "ext")
             return self.builder.cast("sitofp", value, DOUBLE, "conv")
         if target == INT64:
-            if isinstance(value, ConstantFloat):
+            if (
+                isinstance(value, ConstantFloat)
+                and id(value) not in self._variable_constants
+            ):
                 return const_int(int(value.value))
             if value.type == INT1:
                 return self.builder.cast("zext", value, INT64, "ext")
@@ -674,10 +748,11 @@ class FunctionLowering:
 
 
 def lower_program(program: Program, name: str = "module") -> Module:
-    """Lower a parsed program (allocas intact, before mem2reg)."""
+    """Lower a parsed program to SSA form, before the cleanup passes."""
     return ModuleLowering(program, name).run()
 
 
 def lower_source(source: str, name: str = "module") -> Module:
-    """Parse and lower mini-C source (before mem2reg)."""
+    """Parse and lower mini-C source to SSA form, before the cleanup
+    passes."""
     return lower_program(parse(source), name)

@@ -2,7 +2,7 @@
 
 A for loop is a 11-tuple of IR values (we fold the paper's separate
 ``loop_begin``/``loop_jump`` labels into one ``header`` block, since
-after mem2reg the iterator PHI, the exit test and the conditional
+in SSA form the iterator PHI, the exit test and the conditional
 branch all live in the same block):
 
     (entry, header, body, latch, exit,

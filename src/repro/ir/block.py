@@ -20,6 +20,8 @@ class BasicBlock(Value):
     value universe the constraint solver searches (§3.2).
     """
 
+    __slots__ = ("parent", "instructions")
+
     def __init__(self, name: str = ""):
         super().__init__(LABEL, name)
         self.parent: "Function | None" = None

@@ -60,6 +60,8 @@ class Instruction(Value):
     into a basic block.
     """
 
+    __slots__ = ("parent", "_operands")
+
     opcode: str = "<abstract>"
 
     def __init__(self, type: Type, operands: Sequence[Value], name: str = ""):
@@ -136,6 +138,8 @@ class Instruction(Value):
 class BinaryInst(Instruction):
     """An arithmetic/bitwise binary operation (``add``, ``fmul``, ...)."""
 
+    __slots__ = ("opcode",)
+
     def __init__(self, opcode: str, lhs: Value, rhs: Value, name: str = ""):
         if opcode not in INT_BINARY_OPCODES and opcode not in FLOAT_BINARY_OPCODES:
             raise ValueError(f"unknown binary opcode {opcode!r}")
@@ -162,6 +166,8 @@ class BinaryInst(Instruction):
 class ICmpInst(Instruction):
     """Signed integer comparison producing an i1."""
 
+    __slots__ = ("predicate",)
+
     opcode = "icmp"
 
     def __init__(self, predicate: str, lhs: Value, rhs: Value, name: str = ""):
@@ -185,6 +191,8 @@ class ICmpInst(Instruction):
 
 class FCmpInst(Instruction):
     """Ordered floating point comparison producing an i1."""
+
+    __slots__ = ("predicate",)
 
     opcode = "fcmp"
 
@@ -210,10 +218,12 @@ class FCmpInst(Instruction):
 class AllocaInst(Instruction):
     """Stack allocation of ``count`` elements of ``allocated_type``.
 
-    The mini-C frontend allocates every local variable with an alloca;
-    the mem2reg pass then promotes scalar allocas to SSA values, which
-    introduces the PHI nodes the idiom specifications rely on.
+    The mini-C frontend allocates local arrays with an alloca; scalar
+    locals never touch memory, since lowering builds their SSA values
+    and PHI nodes directly.
     """
+
+    __slots__ = ("allocated_type", "count")
 
     opcode = "alloca"
 
@@ -225,6 +235,8 @@ class AllocaInst(Instruction):
 
 class LoadInst(Instruction):
     """Load a value through a pointer."""
+
+    __slots__ = ()
 
     opcode = "load"
 
@@ -241,6 +253,8 @@ class LoadInst(Instruction):
 
 class StoreInst(Instruction):
     """Store a value through a pointer (produces no result)."""
+
+    __slots__ = ()
 
     opcode = "store"
 
@@ -273,6 +287,8 @@ class GEPInst(Instruction):
     arrays).
     """
 
+    __slots__ = ()
+
     opcode = "gep"
 
     def __init__(self, base: Value, index: Value, name: str = ""):
@@ -296,6 +312,8 @@ class GEPInst(Instruction):
 class PhiInst(Instruction):
     """SSA PHI node; operands are interleaved ``value, block`` pairs."""
 
+    __slots__ = ()
+
     opcode = "phi"
 
     def __init__(self, type: Type, name: str = ""):
@@ -309,6 +327,12 @@ class PhiInst(Instruction):
             )
         self._append_operand(value)
         self._append_operand(block)
+
+    def set_incoming(self, pairs: Sequence[tuple[Value, "BasicBlock"]]) -> None:
+        """Replace the incoming pairs with ``pairs``, in their order."""
+        self._pop_operands(len(self._operands))
+        for value, block in pairs:
+            self.add_incoming(value, block)
 
     @property
     def incoming(self) -> list[tuple[Value, "BasicBlock"]]:
@@ -339,6 +363,8 @@ class BranchInst(Instruction):
     The constraint atoms ``x = branch(y)`` and ``x = branch(y, z, w)``
     from Fig. 5 of the paper inspect these instructions.
     """
+
+    __slots__ = ()
 
     opcode = "br"
 
@@ -379,6 +405,8 @@ class BranchInst(Instruction):
 class ReturnInst(Instruction):
     """Function return, with or without a value."""
 
+    __slots__ = ()
+
     opcode = "ret"
 
     def __init__(self, value: Value | None = None):
@@ -397,6 +425,8 @@ class CallInst(Instruction):
     calls (``sqrt``, ``log``, ``fabs``, ``fmin``...) are legal inside a
     reduction's computation, impure calls are not (§2, §3.1.1).
     """
+
+    __slots__ = ()
 
     opcode = "call"
 
@@ -429,6 +459,8 @@ class CallInst(Instruction):
 class SelectInst(Instruction):
     """Ternary select: ``cond ? if_true : if_false``."""
 
+    __slots__ = ()
+
     opcode = "select"
 
     def __init__(self, cond: Value, if_true: Value, if_false: Value, name: str = ""):
@@ -456,6 +488,8 @@ class SelectInst(Instruction):
 
 class CastInst(Instruction):
     """Value conversion (``sitofp``, ``zext``, ...)."""
+
+    __slots__ = ("opcode",)
 
     def __init__(self, opcode: str, value: Value, to_type: Type, name: str = ""):
         if opcode not in CAST_OPCODES:

@@ -45,6 +45,8 @@ class Value:
         for anonymous values.
     """
 
+    __slots__ = ("type", "name", "uses")
+
     def __init__(self, type: Type, name: str = ""):
         self.type = type
         self.name = name
@@ -93,9 +95,13 @@ class Value:
 class Constant(Value):
     """Base class of compile-time constant values."""
 
+    __slots__ = ()
+
 
 class ConstantInt(Constant):
     """An integer constant; the value is wrapped to the type's bit width."""
+
+    __slots__ = ("value",)
 
     def __init__(self, type: IntType, value: int):
         super().__init__(type)
@@ -111,6 +117,8 @@ class ConstantInt(Constant):
 class ConstantFloat(Constant):
     """A floating point constant."""
 
+    __slots__ = ("value",)
+
     def __init__(self, type: FloatType, value: float):
         super().__init__(type)
         self.value = float(value)
@@ -125,12 +133,16 @@ class ConstantFloat(Constant):
 class UndefValue(Constant):
     """An undefined value of a given type (used for unreachable PHI inputs)."""
 
+    __slots__ = ()
+
     def short_name(self) -> str:
         return "undef"
 
 
 class Argument(Value):
     """A formal parameter of a :class:`~repro.ir.function.Function`."""
+
+    __slots__ = ("index",)
 
     def __init__(self, type: Type, name: str, index: int):
         super().__init__(type, name)
@@ -144,6 +156,8 @@ class GlobalVariable(Value):
     ``size`` the number of elements (1 for scalars).  The optional
     ``initializer`` is a Python list used by the interpreter.
     """
+
+    __slots__ = ("element_type", "size", "initializer")
 
     def __init__(
         self,

@@ -8,7 +8,7 @@ Checks the invariants the rest of the system relies on:
 * instruction operands that are themselves instructions belong to the same
   function;
 * (optionally, with dominance checking) every use is dominated by its
-  definition — the SSA property that mem2reg must establish.
+  definition — the SSA property that lowering must establish.
 """
 
 from __future__ import annotations

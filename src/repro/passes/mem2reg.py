@@ -5,6 +5,10 @@ implemented by LLVM's mem2reg.  It is the step that turns the frontend's
 load/store form into the PHI-based SSA the paper's idiom specifications
 are written against (§3.1.1: the accumulator update becomes visible as
 a PHI cycle only after this pass).
+
+``compile_source`` no longer runs it: lowering builds the same SSA
+form directly, so on lowered IR this pass finds nothing to promote.
+It still promotes hand-built alloca IR.
 """
 
 from __future__ import annotations

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 from ..ir.function import Function
-from ..ir.instructions import BranchInst
+from ..ir.instructions import BranchInst, PhiInst
 from ..analysis.cfg import CFG
 
 
 def remove_unreachable_blocks(function: Function) -> int:
-    """Delete blocks not reachable from the entry; returns removal count."""
+    """Delete blocks not reachable from the entry; returns removal count.
+
+    PHIs of the remaining blocks lose their incoming pairs from the
+    deleted ones.
+    """
     if function.is_declaration:
         return 0
     reachable = CFG(function).reachable()
@@ -17,6 +21,17 @@ def remove_unreachable_blocks(function: Function) -> int:
         for instruction in block.instructions:
             instruction.drop_all_references()
         block.instructions.clear()
+    phis = dict.fromkeys(
+        use.user for block in dead for use in block.uses
+        if isinstance(use.user, PhiInst)
+    )
+    if phis:
+        dead_set = set(dead)
+        for phi in phis:
+            phi.set_incoming(
+                [(value, pred) for value, pred in phi.incoming
+                 if pred not in dead_set]
+            )
     for block in dead:
         function.blocks.remove(block)
         block.parent = None
@@ -108,7 +123,7 @@ def dead_code_elimination(function: Function) -> int:
     Roots are side-effecting instructions: stores, terminators and calls
     to impure functions.  Everything else (including PHI cycles that
     only feed each other, a common artefact of scoped locals after
-    mem2reg) is deleted when not transitively reachable from a root.
+    SSA construction) is deleted when not transitively reachable from a root.
     """
     from ..ir.instructions import CallInst, Instruction, ReturnInst, StoreInst
 

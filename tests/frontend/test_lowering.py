@@ -15,14 +15,17 @@ from repro.ir import (
 )
 
 
-def test_locals_become_entry_allocas_before_mem2reg():
+def test_locals_become_ssa_values_while_lowering():
     module = lower_source(
         "double f(void) { double x = 1.0; double y = x + 2.0; return y; }"
     )
     fn = module.get_function("f")
-    allocas = [i for i in fn.instructions() if isinstance(i, AllocaInst)]
-    assert len(allocas) == 2
-    assert all(a.parent is fn.entry for a in allocas)
+    assert not any(isinstance(i, (AllocaInst, LoadInst, StoreInst))
+                   for i in fn.instructions())
+    ret = fn.blocks[-1].terminator
+    add = ret.return_value
+    assert add.opcode == "fadd"
+    assert [op.value for op in add.operands] == [1.0, 2.0]
 
 
 def test_mem2reg_removes_scalar_allocas():

@@ -32,13 +32,15 @@ from repro.passes.simplify import (
 )
 from repro.workloads.corpus import all_programs
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "frontend"))
+_TESTS = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(_TESTS / "frontend"))
+sys.path.insert(0, str(_TESTS / "passes"))
+from alloca_form import guarded_sum_module, join_module  # noqa: E402
 from test_pipeline_property import programs  # noqa: E402
 
 #: ``compile_source``'s pass sequence, per defined function, in order.
 PIPELINE = (
     remove_unreachable_blocks,
-    promote_allocas,
     dead_code_elimination,
     remove_trivial_phis,
     merge_straightline_blocks,
@@ -81,6 +83,17 @@ def test_corpus_predecessors_match_reference_after_every_pass():
 @settings(max_examples=40, deadline=None)
 def test_generated_predecessors_match_reference_after_every_pass(source):
     _check_pipeline(source)
+
+
+def test_mem2reg_predecessors_match_reference():
+    """mem2reg, which compilation no longer runs, on alloca-form IR."""
+    for module in (join_module(), guarded_sum_module()):
+        _assert_matches_reference(module, "building")
+        for function in module.defined_functions():
+            for pass_fn in (remove_unreachable_blocks, promote_allocas,
+                            *PIPELINE[1:]):
+                pass_fn(function)
+                _assert_matches_reference(module, pass_fn.__name__)
 
 
 def _function():

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.frontend import compile_source, lower_source
 from repro.ir import BranchInst, print_module
-from repro.passes.mem2reg import promote_allocas
 from repro.passes.simplify import (
     dead_code_elimination,
     merge_straightline_blocks,
@@ -75,7 +74,6 @@ def _before_merge(source, permutation):
     module = lower_source(source)
     for function in module.defined_functions():
         remove_unreachable_blocks(function)
-        promote_allocas(function)
         dead_code_elimination(function)
         remove_trivial_phis(function)
         rest = function.blocks[1:]

@@ -27,6 +27,8 @@ from repro.ir import print_module
 from repro.runtime import Interpreter, Memory
 from repro.workloads import program
 
+from alloca_form import guarded_sum_module, join_module
+
 
 SOURCE = """
 double a[32]; int n;
@@ -53,50 +55,53 @@ def _run(module: Module) -> float:
     return interp.call(module.get_function("f"), [])
 
 
-def test_mem2reg_differential_semantics():
-    """Alloca form and SSA form must compute the same value."""
-    before = lower_source(SOURCE)
-    after = lower_source(SOURCE)
-    for fn in after.defined_functions():
+def _promote(module: Module) -> int:
+    promoted = 0
+    for fn in module.defined_functions():
         remove_unreachable_blocks(fn)
-        promote_allocas(fn)
-    verify_module(after)
+        promoted += promote_allocas(fn)
+    verify_module(module)
+    return promoted
+
+
+def test_mem2reg_differential_semantics():
+    """Alloca form and SSA form must compute the same value, and the
+    value the SSA lowering of the same program computes."""
+    before = guarded_sum_module()
+    after = guarded_sum_module()
+    assert _promote(after) == 3  # s, unusedcalc, i; not buf
+    fn = after.get_function("f")
+    assert [a.name for a in fn.instructions()
+            if isinstance(a, AllocaInst)] == ["buf"]
+    assert {p.name for p in fn.instructions()
+            if isinstance(p, PhiInst)} >= {"s", "i"}
     assert abs(_run(before) - _run(after)) < 1e-12
+    assert abs(_run(after) - _run(compile_source(SOURCE))) < 1e-12
 
 
 def test_promotable_allocas_excludes_arrays():
-    module = lower_source(
-        """
-        double f(void) {
-            double x = 1.0;
-            double buf[4];
-            buf[0] = x;
-            return buf[0];
-        }
-        """
-    )
-    fn = module.get_function("f")
-    promotable = promotable_allocas(fn)
-    names = {a.name for a in promotable}
-    assert "x" in names
-    assert "buf" not in names
+    fn = guarded_sum_module().get_function("f")
+    names = {a.name for a in promotable_allocas(fn)}
+    assert names == {"s", "unusedcalc", "i"}  # not the array ``buf``
 
 
 def test_mem2reg_inserts_phi_at_join():
-    module = lower_source(
-        """
-        int f(int c) {
-            int x = 0;
-            if (c > 0) { x = 1; } else { x = 2; }
-            return x;
-        }
-        """
-    )
+    module = join_module()
+    assert _promote(module) == 2  # c.addr and x
     fn = module.get_function("f")
-    remove_unreachable_blocks(fn)
-    promote_allocas(fn)
+    assert not any(isinstance(i, (AllocaInst, LoadInst))
+                   for i in fn.instructions())
     phis = [i for i in fn.instructions() if isinstance(i, PhiInst)]
-    assert len(phis) >= 1
+    assert len(phis) == 1
+    assert phis[0].parent.name == "if.end"
+    assert sorted(v.value for v in phis[0].incoming_values()) == [1, 2]
+
+
+def test_mem2reg_finds_nothing_to_promote_in_lowered_ir():
+    module = lower_source(SOURCE)
+    for fn in module.defined_functions():
+        remove_unreachable_blocks(fn)
+        assert promote_allocas(fn) == 0
 
 
 def test_dce_removes_dead_phi_cycles():
@@ -117,7 +122,6 @@ def test_cse_unifies_redundant_loads():
     )
     fn = module.get_function("f")
     remove_unreachable_blocks(fn)
-    promote_allocas(fn)
     before = sum(1 for i in fn.instructions() if isinstance(i, LoadInst))
     removed = local_cse(fn)
     after = sum(1 for i in fn.instructions() if isinstance(i, LoadInst))
@@ -138,7 +142,6 @@ def test_cse_respects_intervening_stores():
     )
     fn = module.get_function("f")
     remove_unreachable_blocks(fn)
-    promote_allocas(fn)
     local_cse(fn)
     loads = [
         i for i in fn.instructions()
@@ -271,7 +274,6 @@ def test_merge_straightline_blocks_preserves_semantics():
     module = lower_source(SOURCE)
     for fn in module.defined_functions():
         remove_unreachable_blocks(fn)
-        promote_allocas(fn)
         dead_code_elimination(fn)
         remove_trivial_phis(fn)
     expected = _run(module)
