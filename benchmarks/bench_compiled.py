@@ -5,7 +5,9 @@ The PR-7 acceptance measurement, recorded under ``compiled_engine`` in
 
 * **differential**: on every function of the 40-program corpus, every
   shipped spec's compiled detection (``detect``) equals the interpreted
-  reference's (``detect_interpreted``) — the identical solution list —
+  reference's (``detect_interpreted``, in
+  ``tests/constraints/reference_solver.py``) — the identical solution
+  list —
   and the eval accounting reconciles (``interpreted.constraint_evals ==
   compiled.constraint_evals + compiled.evals_pruned``);
 * **speedup**: corpus-wide detection wall-clock, compiled/shared vs
@@ -31,10 +33,10 @@ from repro.constraints import (
     detect,
 )
 from repro.constraints.plan import compile_plan
-from repro.constraints.solver import detect_interpreted
 from repro.evaluation.render import table
 from repro.idioms import IdiomRegistry
 from repro.workloads import corpus
+from reference_solver import detect_interpreted
 
 #: Interleaved measurement rounds (median-of-rounds reported).
 ROUNDS = int(os.environ.get("REPRO_BENCH_ROUNDS", "5"))

@@ -18,6 +18,11 @@ the curated order.  The original two:
   value universe — the §3.2 blow-up in miniature.  (On EP-sized
   functions the reversed order is intractable, which is exactly the
   paper's point.)
+
+The specs are the Python transliterations in
+``tests/constraints/native_specs.py``: they declare no base, so each
+run is one plain search with no replayed for-loop prefix, and the
+recorded counts compare order against order only.
 """
 
 import time
@@ -29,14 +34,14 @@ from repro.constraints import (
     detect,
     suggest_order,
 )
-from repro.constraints.solver import detect_interpreted
 from repro.evaluation.render import table
-from repro.idioms.forloop import for_loop_spec
-from repro.idioms.scalar_reduction import (
+from repro.workloads import program
+from native_specs import (
     SCALAR_REDUCTION_LABEL_ORDER,
+    for_loop_spec,
     scalar_reduction_spec,
 )
-from repro.workloads import program
+from reference_solver import detect_interpreted
 
 #: Blocks and values bound before the branch structure.
 SCRAMBLED_ORDER = (

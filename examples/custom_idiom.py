@@ -2,10 +2,16 @@
 
 The paper's key architectural claim (§3, §8) is that the constraint
 formulation *decouples specification from detection*: new idioms are
-new constraint programs, not new detection algorithms.  This example
-defines a *dot-product* idiom from the existing atoms — a for loop
-whose accumulator update is ``acc + a[i] * b[i]`` over two distinct
-arrays — and runs the unmodified generic solver on it.
+new constraint programs, not new detection algorithms.  §3.4 adds that
+such programs can be read from text at runtime, with no recompilation.
+
+This example writes a *two-array dot product* idiom in ICSL — a for
+loop whose accumulator update is ``acc + a[i] * b[i]`` over two
+distinct arrays — reads it with ``parse_spec_text`` and runs the
+unmodified generic solver on it.  ``extends for-loop`` reuses the
+shipped Fig. 5 for-loop spec, so only the accumulator part is new.
+(The package ships a similar ``dot-product`` idiom; this one has its
+own name, so the two never shadow each other.)
 
 Run with::
 
@@ -13,64 +19,31 @@ Run with::
 """
 
 from repro import compile_source
-from repro.constraints import (
-    ComputedOnlyFrom,
-    ConstraintAnd,
-    Distinct,
-    FlowPolicy,
-    IdiomSpec,
-    InBlock,
-    Opcode,
-    PhiIncomingFromBlock,
-    PhiOfTwo,
-    SolverContext,
-    detect,
-)
-from repro.idioms.forloop import (
-    FOR_LOOP_LABEL_ORDER,
-    for_loop_constraint,
-    loop_invariant_in,
-)
+from repro.constraints import SolverContext, detect, parse_spec_text
 
+SPEC = """
+idiom two-array-dot extends for-loop {
+  order: header test body exit entry latch iterator next_iter iter_begin iter_step iter_end acc update acc_init product load_a load_b gep_a gep_b base_a base_b
 
-def _policies(ctx, assignment):
-    acc = assignment["acc"]
-    iterator = assignment["iterator"]
-    data = FlowPolicy(extra_sources=(acc,), rejected=(iterator,),
-                      index_sources=(iterator,), require_affine_index=True)
-    control = FlowPolicy(rejected=(iterator, acc),
-                         index_sources=(iterator,),
-                         require_affine_index=True)
-    return data, control
-
-
-def dot_product_spec() -> IdiomSpec:
-    """acc' = acc + load(gep(base_a, i)) * load(gep(base_b, i))."""
-    labels = FOR_LOOP_LABEL_ORDER + (
-        "acc", "update", "acc_init", "product", "load_a", "load_b",
-        "gep_a", "gep_b", "base_a", "base_b",
-    )
-    constraint = ConstraintAnd(
-        for_loop_constraint(),
-        PhiOfTwo("acc", "update", "acc_init"),
-        InBlock("acc", "header"),
-        PhiIncomingFromBlock("acc", "update", "latch"),
-        PhiIncomingFromBlock("acc", "acc_init", "entry"),
-        loop_invariant_in("acc_init", "entry"),
-        # The update is acc + (a[i] * b[i]).
-        Opcode("update", "fadd", ("acc", "product"), commutative=True),
-        Opcode("product", "fmul", ("load_a", "load_b"), commutative=True),
-        Opcode("load_a", "load", ("gep_a",)),
-        Opcode("load_b", "load", ("gep_b",)),
-        Opcode("gep_a", "gep", ("base_a", None)),
-        Opcode("gep_b", "gep", ("base_b", None)),
-        Distinct("base_a", "base_b"),
-        Distinct("acc", "iterator"),
-        ComputedOnlyFrom("update", "header", _policies,
-                         extra_labels=("acc", "iterator")),
-    )
-    return IdiomSpec("dot-product", labels, constraint)
-
+  # acc is a loop-carried PHI: acc_init on entry, update from the latch.
+  phi2(acc, update, acc_init)
+  inblock(acc, header)
+  phiedge(acc, update, latch)
+  phiedge(acc, acc_init, entry)
+  invariant(acc_init, entry)
+  # The update is acc + load(gep(base_a, _)) * load(gep(base_b, _)).
+  opcode(update, fadd, acc, product) commutative
+  opcode(product, fmul, load_a, load_b) commutative
+  opcode(load_a, load, gep_a)
+  opcode(load_b, load, gep_b)
+  opcode(gep_a, gep, base_a, _)
+  opcode(gep_b, gep, base_b, _)
+  distinct(base_a, base_b)
+  distinct(acc, iterator)
+  # Only the accumulator, affine array reads and loop constants feed it.
+  flow(update, header, sources=acc, rejected=iterator, index=iterator, affine)
+}
+"""
 
 SOURCE = """
 double xs[256]; double ys[256]; double ws[256]; int n;
@@ -97,7 +70,7 @@ double plain_sum(void) {
 
 def main() -> None:
     module = compile_source(SOURCE, "custom")
-    spec = dot_product_spec()
+    spec = parse_spec_text(SPEC)["two-array-dot"]
     print(f"idiom {spec.name!r}: {len(spec.label_order)} labels")
     for function in module.defined_functions():
         ctx = SolverContext(function, module)
@@ -110,7 +83,7 @@ def main() -> None:
         else:
             print(f"  {function.name}: no dot product")
     # plain_dot matches; weighted_norm does not (same array twice —
-    # Distinct(base_a, base_b) rejects it); plain_sum has no product.
+    # distinct(base_a, base_b) rejects it); plain_sum has no product.
 
 
 if __name__ == "__main__":

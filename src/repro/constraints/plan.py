@@ -33,9 +33,9 @@ depth-slice once, per spec, into a :class:`FlatPlan`:
   locals) and replays a base spec's solved prefix when
   :attr:`~repro.constraints.core.IdiomSpec.base` allows it.
 
-:func:`~repro.constraints.solver.detect_interpreted` keeps the
-constraint-object interpreter as the test reference; :func:`detect_plan`
-is bit-identical to it in solutions, assignments tried, rejections,
+The constraint-object interpreter ``detect_interpreted`` in
+``tests/constraints/reference_solver.py`` is the test reference;
+:func:`detect_plan` is bit-identical to it in solutions, assignments tried, rejections,
 universe fallbacks, proposal cache hits and candidate statistics, and
 eval-exact modulo the recorded pruning.
 """
@@ -425,8 +425,8 @@ def detect_plan(
 ):
     """All assignments satisfying ``spec`` — the compiled engine.
 
-    Equivalent to the interpreted reference
-    (:func:`~repro.constraints.solver.detect_interpreted`): identical
+    Equivalent to the interpreted reference (``detect_interpreted`` in
+    ``tests/constraints/reference_solver.py``): identical
     solutions in identical order, identical search counters
     (``assignments_tried``, ``partial_rejections``, ``solutions``,
     ``fallbacks_to_universe``, candidate statistics, proposal cache
@@ -640,10 +640,9 @@ def _search(plan, ctx, cache, results, limit_v, stats, frontier):
 
 
 def _base_solutions(ctx, spec, stats, cache, limit):
-    """Solved base-prefix tuples, or None — the plan-engine twin of
-    :func:`~repro.constraints.solver._base_prefix_solutions` (same
-    cache slot, same charge-the-first-caller accounting, same
-    ``limit`` gate)."""
+    """Solved base-prefix tuples, or None.  The first extending spec on
+    a cache computes them and is charged the base search's effort (not
+    its solutions); a ``limit``-bounded search only replays them."""
     base = spec.base
     solutions = cache.solutions_for(base)
     if solutions is None:

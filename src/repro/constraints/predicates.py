@@ -1,20 +1,19 @@
-"""Named predicate atoms shared by native specs and ICSL spec files.
+"""Named predicate atoms: the Python predicates ICSL spec files name.
 
 The Fig. 5-style structural atoms cover most of an idiom, but each of
 the shipped idioms also needs a handful of conditions that are cheap to
 state as Python predicates (e.g. "the bound blocks form a natural loop
-headed by ``header``").  So that external ``.icsl`` files can express
-the *same* specifications as the native Python modules, every such
-predicate lives here as a **named factory**: given label names it
+headed by ``header``").  So that ``.icsl`` files can state them, every
+such predicate lives here as a **named factory**: given label names it
 returns a :class:`~repro.constraints.atomic.Predicate` bound to those
 labels, and the factory's name doubles as an ICSL atom —
 
     natural_loop(header, body, latch, entry, exit)
     update_in_loop(header, acc_update)
 
-Use :func:`register_predicate_atom` to add new named predicates; both
-the native specs (``repro.idioms.*``) and the spec-file parser resolve
-through :data:`PREDICATE_ATOMS`, so the two paths cannot drift.
+Use :func:`register_predicate_atom` to add new named predicates; the
+spec-file parser resolves atoms through :data:`PREDICATE_ATOMS`, and a
+spec built in Python calls the same factories.
 """
 
 from __future__ import annotations

@@ -21,11 +21,10 @@ partial verdict only depends on the bindings of its own labels, so
 unaffected conjuncts keep the verdict they produced at an earlier
 depth.  :func:`detect` runs that search through the flat-plan engine
 (:mod:`~repro.constraints.plan`), which lowers the index into per-depth
-plan data that one generic search loop runs.
-:func:`detect_interpreted` walks the same index over the constraint
-objects: it is the test reference (the only check that the plan
-engine's ``constraint_evals + evals_pruned`` reconciles), and its
-``incremental=False`` mode keeps the naive full-tree walk.  Every path counts conjunct evaluations in
+plan data that one generic search loop runs; it is the one search
+engine.  The test reference ``detect_interpreted``
+(``tests/constraints/reference_solver.py``) walks the same index over
+the constraint objects.  Conjunct evaluations are counted in
 :attr:`SolverStats.constraint_evals` (the CoreDiag-flavored metric: how
 much redundant constraint evaluation was eliminated).
 
@@ -63,7 +62,6 @@ from .core import (
     constraint_labels,
     top_level_conjuncts,
 )
-from .logical import intersect_proposals
 
 
 @dataclass
@@ -255,7 +253,7 @@ class SharedSolverCache:
       share entries across detects;
     * ``base_solutions`` — complete solution lists of base specs, keyed
       by spec identity.  An extending spec replays these as its solved
-      prefix (see :meth:`CompiledSpec.prefix_plan`); the scalar and
+      prefix (see :attr:`CompiledSpec.prefix_len`); the scalar and
       histogram idioms both extend ``for-loop``, so its search runs
       once per context instead of once per spec;
     * ``intersection_memo`` — plan-engine memo of
@@ -272,7 +270,7 @@ class SharedSolverCache:
       candidate list, keyed ``(plan step, bound-dependency value ids)``.
       A hit replaces the per-row proposal lookups and the intersection
       with one dict probe; since every row's memo entry necessarily
-      exists by then, the interpreted engine would score one
+      exists by then, a per-row lookup would score one
       ``proposal_cache_hits`` per row, which the plan engine mirrors
       in bulk.
     """
@@ -381,52 +379,6 @@ class CompiledSpec:
             if id(c) not in base_ids and (self.labelsets[i] & prefix_set)
         )
 
-    def propose(
-        self,
-        ctx: SolverContext,
-        assignment: dict[str, Value],
-        label: str,
-        memo: dict,
-        stats: SolverStats,
-    ) -> list[Value] | None:
-        """Candidates for ``label``; mirrors ``ConstraintAnd.propose``
-        (intersection, ordered by the smallest proposal) with proposal
-        lookups memoized in the shared cache.
-
-        A conjunct's proposal only depends on the bindings of its own
-        labels, so the memo key is the conjunct's identity plus that
-        restriction — shared conjunct objects hit across specs.
-        """
-        proposals: list[list[Value]] = []
-        for i in self.proposers.get(label, ()):
-            conjunct = self.conjuncts[i]
-            # The conjunct object itself is part of the key: identity
-            # addressing that also pins it alive in the shared cache
-            # (value ids are stable — the context keeps the function's
-            # values alive for the cache's whole lifetime).
-            key = (
-                conjunct,
-                label,
-                tuple(
-                    (l, id(assignment[l]))
-                    for l in sorted(self.labelsets[i])
-                    if l in assignment
-                ),
-            )
-            try:
-                candidates = memo[key]
-                stats.proposal_cache_hits += 1
-            except KeyError:
-                candidates = conjunct.propose(ctx, assignment, label)
-                if candidates is not None:
-                    candidates = list(candidates)
-                memo[key] = candidates
-            if candidates is not None:
-                proposals.append(candidates)
-        if not proposals:
-            return None
-        return intersect_proposals(proposals)
-
 
 def compile_spec(spec: IdiomSpec) -> CompiledSpec:
     """The compiled form of ``spec`` (cached on the spec object)."""
@@ -466,146 +418,6 @@ def detect(
     if _detect_plan is None:
         from .plan import detect_plan as _detect_plan
     return _detect_plan(ctx, spec, stats=stats, limit=limit, cache=cache)
-
-
-def detect_interpreted(
-    ctx: SolverContext,
-    spec: IdiomSpec,
-    stats: SolverStats | None = None,
-    limit: int | None = None,
-    cache: SharedSolverCache | None = None,
-    incremental: bool = True,
-) -> list[dict[str, Value]]:
-    """The reference search: :func:`detect` over the constraint objects.
-
-    Accepts and rejects exactly the partial assignments :func:`detect`
-    does and returns the same solutions in the same order with the same
-    search counters, except that it evaluates every conjunct the plan
-    compiler prunes: its ``constraint_evals`` equals ``detect``'s
-    ``constraint_evals + evals_pruned``.  Tests and benchmarks call
-    it; detection never does.
-
-    ``incremental=False`` selects the naive full-tree walk (the
-    original Fig. 6 formulation) instead of the per-depth conjunct
-    index, and never replays a base prefix.
-    """
-    compiled = compile_spec(spec)
-    order = spec.label_order
-    conjuncts = compiled.conjuncts
-    results: list[dict[str, Value]] = []
-    assignment: dict[str, Value] = {}
-    stats = stats if stats is not None else SolverStats()
-    cache = cache if cache is not None else ctx.solver_cache
-    memo = cache.proposal_memo
-    all_indices = tuple(range(len(conjuncts)))
-    # The bound-label set at depth k is always exactly order[:k] (the
-    # replayed prefix is an order prefix too) — precompute the
-    # frozensets once instead of rebuilding one per search node.
-    prefix_sets = [
-        frozenset(order[:k]) for k in range(len(order) + 1)
-    ]
-
-    def partial_ok(k: int) -> bool:
-        indices = compiled.schedule[k] if incremental else all_indices
-        for i in indices:
-            stats.constraint_evals += 1
-            if not conjuncts[i].partial_check(ctx, assignment):
-                return False
-        return True
-
-    def recurse(k: int) -> bool:
-        if limit is not None and len(results) >= limit:
-            return False
-        if k == len(order):
-            results.append(dict(assignment))
-            stats.solutions += 1
-            return True
-        label = order[k]
-        candidates = compiled.propose(ctx, assignment, label, memo, stats)
-        if candidates is None:
-            candidates = ctx.universe
-            stats.fallbacks_to_universe += 1
-        stats.record_candidates(label, prefix_sets[k], len(candidates))
-        for value in candidates:
-            assignment[label] = value
-            stats.assignments_tried += 1
-            if partial_ok(k):
-                if not recurse(k + 1):
-                    assignment.pop(label, None)
-                    return False
-            else:
-                stats.partial_rejections += 1
-        assignment.pop(label, None)
-        return True
-
-    prefix = _base_prefix_solutions(
-        ctx, spec, compiled, stats, cache, incremental, limit
-    )
-    if prefix is None:
-        recurse(0)
-    else:
-        stats.prefix_reuses += 1
-        k = compiled.prefix_len
-        for base_solution in prefix:
-            if limit is not None and len(results) >= limit:
-                break
-            assignment.clear()
-            assignment.update(base_solution)
-            # Re-validate the extension conjuncts that touch base
-            # labels — the base search never saw them.  (The base's own
-            # conjuncts hold exactly: a base solution satisfies them by
-            # construction, which is what makes the replay sound.)
-            ok = True
-            for i in compiled.replay_indices:
-                stats.constraint_evals += 1
-                if not conjuncts[i].partial_check(ctx, assignment):
-                    stats.partial_rejections += 1
-                    ok = False
-                    break
-            if ok:
-                recurse(k)
-        assignment.clear()
-    return results
-
-
-def _base_prefix_solutions(
-    ctx: SolverContext,
-    spec: IdiomSpec,
-    compiled: CompiledSpec,
-    stats: SolverStats,
-    cache: SharedSolverCache,
-    incremental: bool,
-    limit: int | None,
-):
-    """Solved base-prefix tuples for an extending spec, or None.
-
-    The base's solution list is computed at most once per cache (the
-    first extending spec pays; later specs replay for free) by a nested
-    :func:`detect_interpreted` whose search effort is charged to the caller's
-    ``stats``.  A ``limit``-bounded search never *computes* the base
-    (full base enumeration could dwarf the bounded search it serves) —
-    it only replays a list some unbounded search already paid for.
-    """
-    if not incremental or compiled.prefix_len == 0:
-        return None
-    base = spec.base
-    solutions = cache.solutions_for(base)
-    if solutions is None:
-        if limit is not None:
-            return None
-        base_stats = SolverStats()
-        # Stay on the reference walk: its base search must not be
-        # silently routed through the compiled plan.
-        solutions = detect_interpreted(ctx, base, stats=base_stats,
-                                       cache=cache)
-        cache.store_solutions(base, solutions)
-        # Charge the base search's effort — but not its solution count
-        # (or prefix-reuse tally) — to the caller: the prefix work
-        # happened on this detect's dime.
-        base_stats.solutions = 0
-        base_stats.prefix_reuses = 0
-        stats.merge(base_stats)
-    return solutions
 
 
 def detect_brute_force(

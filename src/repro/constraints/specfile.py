@@ -7,7 +7,7 @@ language — ICSL, the *idiom constraint specification language* — whose
 statements map 1:1 onto the atomic constraints, loaded at runtime into
 ordinary :class:`~repro.constraints.core.IdiomSpec` objects the
 unmodified solver executes.  The shipped ``specs/*.icsl`` files are
-complete ports of the three native idiom specifications; see
+the package's only idiom specifications (the six built-in idioms); see
 ``docs/icsl.md`` for a tutorial.
 
 Grammar (line oriented; ``#`` and ``;`` start comments)::

@@ -1,4 +1,10 @@
-"""Idiom specifications: for loops, scalar reductions, histograms."""
+"""Idiom detection: for loops, scalar reductions, histograms and the
+§8 extension idioms.
+
+Every idiom spec is a shipped ``.icsl`` file
+(``repro/constraints/specs/``) loaded through :class:`IdiomRegistry`;
+this package runs them and turns their solutions into reports.
+"""
 
 from .._lazy import lazy_exports
 
@@ -13,16 +19,7 @@ _EXPORTS = {
     "EXTENSION_IDIOMS": "registry",
     "default_registry": "registry",
     "reset_default_registry": "registry",
-    "for_loop_spec": "forloop",
-    "for_loop_constraint": "forloop",
     "ForLoopMatch": "forloop",
-    "FOR_LOOP_LABEL_ORDER": "forloop",
-    "scalar_reduction_spec": "scalar_reduction",
-    "scalar_reduction_constraint": "scalar_reduction",
-    "SCALAR_REDUCTION_LABEL_ORDER": "scalar_reduction",
-    "histogram_spec": "histogram",
-    "histogram_constraint": "histogram",
-    "HISTOGRAM_LABEL_ORDER": "histogram",
     "classify_update": "postprocess",
     "accumulator_confined": "postprocess",
     "base_memory_ops_confined": "postprocess",
@@ -37,9 +34,6 @@ _EXPORTS = {
     "find_extended_in_function": "extensions",
     "ExtendedReport": "extensions",
     "FunctionExtensions": "extensions",
-    "dot_product_spec": "extensions",
-    "argminmax_spec": "extensions",
-    "nested_array_reduction_spec": "extensions",
 }
 
 __all__ = list(_EXPORTS)

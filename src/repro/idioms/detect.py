@@ -58,8 +58,8 @@ def find_reductions_in_function(
     fresh context.
     """
     registry = registry if registry is not None else default_registry()
-    scalar_spec = registry.spec("scalar-reduction")
-    histogram_spec = registry.spec("histogram")
+    scalar = registry.spec("scalar-reduction")
+    histogram = registry.spec("histogram")
     ctx = ctx if ctx is not None else SolverContext(function, module)
     stats = SolverStats()
     result = FunctionReductions(function, solver_context=ctx, stats=stats)
@@ -96,11 +96,11 @@ def find_reductions_in_function(
         stats.merge(base_stat)
         record_spec_stats(result.spec_stats, base.name, base_stat)
 
-    presolve_base(scalar_spec)
-    presolve_base(histogram_spec)
+    presolve_base(scalar)
+    presolve_base(histogram)
 
     seen_scalars: set[tuple[int, int]] = set()
-    for assignment in run(scalar_spec):
+    for assignment in run(scalar):
         key = (id(assignment["header"]), id(assignment["acc"]))
         if key in seen_scalars:
             continue
@@ -110,7 +110,7 @@ def find_reductions_in_function(
             result.scalars.append(record)
 
     seen_histograms: set[tuple[int, int]] = set()
-    for assignment in run(histogram_spec):
+    for assignment in run(histogram):
         key = (id(assignment["header"]), id(assignment["hist_store"]))
         if key in seen_histograms:
             continue

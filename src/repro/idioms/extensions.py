@@ -19,11 +19,10 @@ DSL, run by the unmodified solver:
 
 Like the core idioms, the extensions ship as ``.icsl`` files
 (``specs/{dot_product,argminmax,nested_reduction}.icsl``) resolved
-through the :class:`~repro.idioms.registry.IdiomRegistry`; the
-``*_spec()`` functions below build the same specs in Python from the
-same named predicate atoms (:mod:`repro.constraints.predicates`) and
-``flow(...)`` policies so the two paths cannot drift — the differential
-tests compare them solution-for-solution.
+through the :class:`~repro.idioms.registry.IdiomRegistry`; this module
+turns their solutions into match records.  The differential tests
+compare the files solution for solution against an independent Python
+transliteration (``tests/constraints/native_specs.py``).
 
 :func:`find_extended_reductions` runs all three on a module;
 :func:`find_extended_in_function` runs them on one function.  Both
@@ -41,69 +40,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..constraints import (
-    ConstraintAnd,
-    Distinct,
-    IdiomSpec,
-    InBlock,
-    Opcode,
-    PhiIncomingFromBlock,
-    PhiOfTwo,
-    SolverContext,
-    SolverStats,
-    declarative_flow,
-    detect,
-)
-from ..constraints.predicates import (
-    guard_matches_candidate,
-    load_before_store,
-    ordering_cmp,
-    same_join,
-    store_in_subloop,
-)
+from ..constraints import SolverContext, SolverStats, detect
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import PhiInst
 from ..ir.module import Module
 from ..ir.values import Value
 from .detect import module_stamp, record_spec_stats
-from .forloop import FOR_LOOP_LABEL_ORDER, for_loop_constraint, loop_invariant_in
 from .postprocess import classify_update
 from .registry import default_registry
 from .reports import ReductionOp
 
 # ---------------------------------------------------------------------------
-# Dot product
+# Match records
 # ---------------------------------------------------------------------------
-
-DOT_PRODUCT_LABEL_ORDER: tuple[str, ...] = FOR_LOOP_LABEL_ORDER + (
-    "acc", "update", "acc_init", "product", "load_a", "load_b",
-    "gep_a", "gep_b", "base_a", "base_b",
-)
-
-
-def dot_product_spec() -> IdiomSpec:
-    """``acc' = acc + a[i] * b[i]`` with two distinct arrays."""
-    constraint = ConstraintAnd(
-        for_loop_constraint(),
-        PhiOfTwo("acc", "update", "acc_init"),
-        InBlock("acc", "header"),
-        PhiIncomingFromBlock("acc", "update", "latch"),
-        PhiIncomingFromBlock("acc", "acc_init", "entry"),
-        loop_invariant_in("acc_init", "entry"),
-        Opcode("update", "fadd", ("acc", "product"), commutative=True),
-        Opcode("product", "fmul", ("load_a", "load_b"), commutative=True),
-        Opcode("load_a", "load", ("gep_a",)),
-        Opcode("load_b", "load", ("gep_b",)),
-        Opcode("gep_a", "gep", ("base_a", None)),
-        Opcode("gep_b", "gep", ("base_b", None)),
-        Distinct("base_a", "base_b"),
-        Distinct("acc", "iterator"),
-        declarative_flow("update", "header", sources=("acc",),
-                         rejected=("iterator",), index=("iterator",),
-                         affine=True),
-    )
-    return IdiomSpec("dot-product", DOT_PRODUCT_LABEL_ORDER, constraint)
 
 
 @dataclass
@@ -125,55 +75,6 @@ class DotProductMatch:
         )
 
 
-# ---------------------------------------------------------------------------
-# Argmin / argmax
-# ---------------------------------------------------------------------------
-
-ARGMINMAX_LABEL_ORDER: tuple[str, ...] = FOR_LOOP_LABEL_ORDER + (
-    "best", "best_update", "best_init",
-    "candidate",
-    "pos", "pos_update", "pos_init", "pos_candidate",
-    "cmp",
-)
-
-
-def argminmax_spec() -> IdiomSpec:
-    """Guarded best-value / best-index pair:
-
-    ``if (cmp(a[i], best)) { best = a[i]; pos = i; }``
-
-    After lowering, ``best_update``/``pos_update`` are PHIs at the same
-    join block, selecting between the carried values and the candidate
-    pair, with the guard comparing the candidate against ``best``.
-    """
-    constraint = ConstraintAnd(
-        for_loop_constraint(),
-        # The tracked best value.
-        PhiOfTwo("best", "best_update", "best_init"),
-        InBlock("best", "header"),
-        PhiIncomingFromBlock("best", "best_update", "latch"),
-        PhiIncomingFromBlock("best", "best_init", "entry"),
-        loop_invariant_in("best_init", "entry"),
-        # The tracked index.
-        PhiOfTwo("pos", "pos_update", "pos_init"),
-        InBlock("pos", "header"),
-        PhiIncomingFromBlock("pos", "pos_update", "latch"),
-        PhiIncomingFromBlock("pos", "pos_init", "entry"),
-        loop_invariant_in("pos_init", "entry"),
-        Distinct("best", "pos", "iterator"),
-        # Join PHIs select carried vs candidate.
-        PhiOfTwo("best_update", "best", "candidate"),
-        PhiOfTwo("pos_update", "pos", "pos_candidate"),
-        same_join("best_update", "pos_update"),
-        # The guard compares the candidate (or an equivalent
-        # recomputation of it) against the best value.
-        Opcode("cmp", ("fcmp", "icmp"), (None, None)),
-        ordering_cmp("cmp"),
-        guard_matches_candidate("cmp", "best", "candidate"),
-    )
-    return IdiomSpec("argminmax", ARGMINMAX_LABEL_ORDER, constraint)
-
-
 @dataclass
 class ArgMinMaxMatch:
     """One detected argmin/argmax pair."""
@@ -192,43 +93,6 @@ class ArgMinMaxMatch:
             f"arg{self.kind}({self.best.short_name()},"
             f"{self.pos.short_name()})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Nested array reduction (the SP rms pattern)
-# ---------------------------------------------------------------------------
-
-NESTED_ARRAY_LABEL_ORDER: tuple[str, ...] = FOR_LOOP_LABEL_ORDER + (
-    "arr_store", "gep_st", "base", "idx", "gep_ld", "arr_load", "update",
-)
-
-
-def nested_array_reduction_spec() -> IdiomSpec:
-    """Array reduction carried by a non-innermost loop (SP's ``rms``).
-
-    Crucially the idx flow rejects the *outer* iterator even inside
-    addresses (no ``index=``): if the address varied with the outer
-    loop this would be a parallel write, and if it read the array a
-    true dependence.
-    """
-    constraint = ConstraintAnd(
-        for_loop_constraint(),
-        Opcode("arr_store", "store", ("update", "gep_st")),
-        Opcode("gep_st", "gep", ("base", "idx")),
-        Opcode("gep_ld", "gep", ("base", "idx")),
-        Opcode("arr_load", "load", ("gep_ld",)),
-        loop_invariant_in("base", "entry"),
-        store_in_subloop("header", "arr_store"),
-        load_before_store("arr_load", "arr_store"),
-        declarative_flow("idx", "header", rejected=("iterator",),
-                         forbidden=("base",)),
-        declarative_flow("update", "header", sources=("arr_load",),
-                         rejected=("iterator",), forbidden=("base",),
-                         index=("iterator",)),
-    )
-    return IdiomSpec(
-        "nested-array-reduction", NESTED_ARRAY_LABEL_ORDER, constraint
-    )
 
 
 @dataclass

@@ -34,9 +34,9 @@ EXTENSION_IDIOMS: tuple[str, ...] = (
 )
 
 #: Labels the post-processing stages read from solver assignments; a
-#: spec replacing a built-in must keep binding them (detect.py's and
-#: extensions.py's record builders and ForLoopMatch index assignments
-#: by these names).
+#: spec replacing a built-in must keep binding them, as the shipped
+#: ``.icsl`` files and their test reference
+#: ``tests/constraints/native_specs.py`` do.
 REQUIRED_LABELS: dict[str, frozenset[str]] = {
     "for-loop": frozenset({
         "header", "body", "latch", "entry", "exit", "test",

@@ -60,8 +60,6 @@ _EXPORTS = {
     "const_bool": "values",
     "print_function": "printer",
     "print_module": "printer",
-    "parse_module": "parser",
-    "IRParseError": "parser",
     "VerificationError": "verifier",
     "verify_function": "verifier",
     "verify_module": "verifier",

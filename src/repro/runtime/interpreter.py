@@ -70,6 +70,11 @@ _INT_BINOPS = {
     "ashr": lambda a, b: a >> b,
 }
 
+#: Integer opcodes whose result can leave the operand range; it wraps
+#: to the instruction type's width in two's complement, as the folder
+#: (``ConstantInt``) computes it.
+_WRAPPING = frozenset({"add", "sub", "mul", "shl", "sdiv"})
+
 _FLOAT_BINOPS = {
     "fadd": lambda a, b: a + b,
     "fsub": lambda a, b: a - b,
@@ -208,12 +213,19 @@ class Interpreter:
         if isinstance(instruction, BinaryInst):
             lhs = self._value(instruction.lhs, frame)
             rhs = self._value(instruction.rhs, frame)
-            table = (
-                _FLOAT_BINOPS
-                if instruction.opcode in _FLOAT_BINOPS
-                else _INT_BINOPS
-            )
-            frame[id(instruction)] = table[instruction.opcode](lhs, rhs)
+            opcode = instruction.opcode
+            if opcode in _FLOAT_BINOPS:
+                result = _FLOAT_BINOPS[opcode](lhs, rhs)
+            else:
+                result = _INT_BINOPS[opcode](lhs, rhs)
+                if opcode in _WRAPPING:
+                    width = instruction.type.width
+                    if width > 1:
+                        half = 1 << (width - 1)
+                        result = ((result + half) & (2 * half - 1)) - half
+                    else:
+                        result &= 1
+            frame[id(instruction)] = result
         elif isinstance(instruction, ICmpInst):
             frame[id(instruction)] = _ICMP[instruction.predicate](
                 self._value(instruction.lhs, frame),

@@ -10,9 +10,10 @@ shipped idioms (core + §8 extensions) and a small C-source corpus:
   specs are infeasible to enumerate by construction, which is the
   paper's point.
 
-* file-spec ≡ native-spec — every shipped ``.icsl`` port produces the
-  identical solution set to its native Python counterpart, on every
-  corpus program, for the full specs.
+* file-spec ≡ native-spec — every shipped ``.icsl`` file produces the
+  identical solution set to its Python transliteration
+  (``native_specs.py``, the test reference), on every corpus program,
+  for the full specs.
 
 * shared-cache ≡ per-call-cache — running every spec against one
   context's :class:`~repro.constraints.SharedSolverCache` (memoized
@@ -42,16 +43,8 @@ from repro.constraints import (
 from repro.constraints.predicates import load_before_store, same_join
 from repro.constraints.specfile import builtin_spec_path
 from repro.frontend import compile_source
-from repro.idioms import (
-    BUILTIN_IDIOMS,
-    IdiomRegistry,
-    argminmax_spec,
-    dot_product_spec,
-    for_loop_spec,
-    histogram_spec,
-    nested_array_reduction_spec,
-    scalar_reduction_spec,
-)
+from repro.idioms import BUILTIN_IDIOMS, IdiomRegistry
+from native_specs import NATIVE_SPECS
 
 # -- the corpus ---------------------------------------------------------------
 
@@ -131,16 +124,6 @@ CORPUS = {
         }
         """,
 }
-
-NATIVE_SPECS = {
-    "for-loop": for_loop_spec,
-    "scalar-reduction": scalar_reduction_spec,
-    "histogram": histogram_spec,
-    "dot-product": dot_product_spec,
-    "argminmax": argminmax_spec,
-    "nested-array-reduction": nested_array_reduction_spec,
-}
-
 
 # -- the reusable harness -----------------------------------------------------
 
@@ -320,8 +303,9 @@ def test_shared_cache_saves_constraint_evals():
 
 def test_corpus_finds_expected_reductions():
     """Sanity: the corpus exercises both hit and miss paths."""
-    scalar = scalar_reduction_spec()
-    histogram = histogram_spec()
+    registry = IdiomRegistry()
+    scalar = registry.spec("scalar-reduction")
+    histogram = registry.spec("histogram")
     expected = {
         "scalar-sum": (1, 0),
         # only the inner accumulator: the outer update is the inner

@@ -4,7 +4,11 @@ The indexed ``partial_check`` path (re-check only conjuncts mentioning
 the newest binding) must accept and reject **exactly** the same partial
 assignments as the naive full-tree walk — same solutions in the same
 order, same ``assignments_tried``, same ``partial_rejections`` — while
-strictly reducing ``constraint_evals``.  Plus property tests that
+strictly reducing ``constraint_evals``.  The naive walk is the test
+reference ``detect_interpreted(..., incremental=False)``
+(``reference_solver.py``); it runs the Python specs of
+``native_specs.py``, which declare no base, so neither side replays a
+solved for-loop prefix.  Plus property tests that
 :func:`~repro.constraints.solver.suggest_order` (and label reordering
 in general) never changes the solution set.
 """
@@ -20,16 +24,12 @@ from repro.constraints import (
     detect,
     suggest_order,
 )
-from repro.constraints.solver import detect_interpreted
 from repro.frontend import compile_source
-from repro.idioms import (
-    BUILTIN_IDIOMS,
-    for_loop_spec,
-    histogram_spec,
-    scalar_reduction_spec,
-)
+from repro.idioms import BUILTIN_IDIOMS, default_registry
 
-from test_differential import CORPUS, NATIVE_SPECS, contexts_for, solution_set
+from native_specs import NATIVE_SPECS, scalar_reduction_spec
+from reference_solver import detect_interpreted
+from test_differential import CORPUS, contexts_for, solution_set
 
 
 @pytest.mark.parametrize("idiom", sorted(NATIVE_SPECS))
@@ -128,7 +128,7 @@ def test_cost_aware_suggest_order_reacts_to_observed_cost():
     """Among measured continuations at the same bound prefix, the one
     with the smaller mean candidate list wins — the runtime feedback,
     not just the static score, decides."""
-    spec = for_loop_spec()
+    spec = default_registry().spec("for-loop")
     static = suggest_order(spec)
     feedback = SolverStats()
     feedback.candidates_per_prefix = {
@@ -146,7 +146,7 @@ def test_cost_aware_suggest_order_replays_the_observed_order():
     territory for unmeasured territory: stats from a run of some order
     reproduce that order, so feedback is never worse than the run that
     produced it."""
-    spec = for_loop_spec()
+    spec = default_registry().spec("for-loop")
     for observed_order in (
         spec.label_order,
         tuple(reversed(spec.label_order)),
@@ -159,7 +159,7 @@ def test_cost_aware_suggest_order_replays_the_observed_order():
 
 
 def test_solver_stats_merge_accumulates_counters():
-    spec = for_loop_spec()
+    spec = default_registry().spec("for-loop")
     ctx = contexts_for(CORPUS["scalar-sum"])[0]
     a, b = SolverStats(), SolverStats()
     detect(ctx, spec, stats=a)
@@ -187,7 +187,7 @@ def test_suggest_order_without_feedback_is_static():
 
 def test_suggest_order_starts_proposable():
     """The heuristic must not open with a universe-fallback label."""
-    spec = for_loop_spec()
+    spec = default_registry().spec("for-loop")
     ctx = contexts_for(CORPUS["scalar-sum"])[0]
     order = suggest_order(spec)
     stats = SolverStats()
@@ -206,7 +206,7 @@ def test_any_label_order_preserves_solution_set(data):
     Random permutations subsume ``suggest_order`` — the solver must be
     order-independent for the heuristic to be free to pick anything.
     """
-    spec = for_loop_spec()
+    spec = default_registry().spec("for-loop")
     order = tuple(
         data.draw(st.permutations(list(spec.label_order)), label="order")
     )

@@ -26,8 +26,8 @@ from repro.constraints import (
     detect,
 )
 from repro.constraints import logical, plan
-from repro.constraints.solver import detect_interpreted
 from repro.idioms import BUILTIN_IDIOMS, IdiomRegistry
+from reference_solver import detect_interpreted
 from test_plan import assert_engines_agree, assert_stats_reconcile
 
 REGISTRY = IdiomRegistry()

@@ -1,7 +1,7 @@
 """Differential suite for the compiled plan engine.
 
-The interpreted reference (:func:`repro.constraints.solver.
-detect_interpreted`) is the oracle; :func:`repro.constraints.detect`
+The interpreted reference (``detect_interpreted`` in
+``reference_solver.py``) is the oracle; :func:`repro.constraints.detect`
 (the plan engine) must match it
 
 * in **solutions** — the identical list, order included;
@@ -35,9 +35,9 @@ from repro.constraints import (
     detect,
 )
 from repro.constraints.plan import _UNBOUND, compile_plan, detect_plan
-from repro.constraints.solver import detect_interpreted
 from repro.idioms import BUILTIN_IDIOMS, IdiomRegistry
 from repro.workloads.corpus import all_programs
+from reference_solver import detect_interpreted
 from test_differential import CORPUS, MINI_SPECS, contexts_for, solution_set
 
 REGISTRY = IdiomRegistry()

@@ -14,7 +14,7 @@ from repro.constraints import (
     detect_brute_force,
 )
 from repro.frontend import compile_source
-from repro.idioms import for_loop_spec
+from repro.idioms import default_registry
 
 
 def _tiny_ctx():
@@ -72,7 +72,7 @@ def test_solver_stats_reflect_pruning():
         """
     )
     ctx = SolverContext(module.get_function("f"), module)
-    spec = for_loop_spec()
+    spec = default_registry().spec("for-loop")
     stats = SolverStats()
     solutions = detect(ctx, spec, stats=stats)
     assert len(solutions) == 1
@@ -95,7 +95,7 @@ def test_bad_label_order_explodes_candidates():
         """
     )
     ctx = SolverContext(module.get_function("f"), module)
-    spec = for_loop_spec()
+    spec = default_registry().spec("for-loop")
     good = SolverStats()
     detect(ctx, spec, stats=good)
     # Move the weakly-constrained value labels first: candidates must

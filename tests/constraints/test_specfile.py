@@ -11,7 +11,8 @@ from repro.constraints.specfile import (
     parse_spec_text,
 )
 from repro.frontend import compile_source
-from repro.idioms import for_loop_spec
+
+from native_specs import for_loop_spec
 
 SPEC_PATH = os.path.join(
     os.path.dirname(__file__), "..", "..", "src", "repro", "constraints",

@@ -89,7 +89,7 @@ def test_extends_renders_flattened_but_equivalent():
 
 def test_native_python_predicates_render():
     """Natives share the named predicate factories, so they render."""
-    from repro.idioms import for_loop_spec
+    from native_specs import for_loop_spec
 
     rendered = render_spec_text({"for-loop": for_loop_spec()})
     assert "natural_loop(header, body, latch, entry, exit)" in rendered

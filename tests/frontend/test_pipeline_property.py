@@ -5,11 +5,11 @@ small grammar.  Beside each source the strategy builds a Python
 evaluator of the same program, with C's int64 wraparound; the fully
 optimized SSA form (SSA lowering + DCE + trivial-phi + merge + LICM +
 CSE) must compute the evaluator's result through the interpreter.
-The interpreter computes integers without wrapping, so examples whose
-arithmetic leaves the int64 range are discarded rather than compared.
+The interpreter wraps int arithmetic to 64 bits as well, so programs
+whose arithmetic leaves the int64 range are compared like any other.
 """
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import lower_source
@@ -28,16 +28,12 @@ _VARS = ("x", "y", "z")
 
 
 class _Env(dict):
-    """Variable values of one evaluation, and whether any int64
-    operation wrapped."""
+    """Variable values of one evaluation."""
 
-    overflowed = False
-
-    def wrap(self, value: int) -> int:
-        wrapped = (value + 2**63) % 2**64 - 2**63
-        if wrapped != value:
-            self.overflowed = True
-        return wrapped
+    @staticmethod
+    def wrap(value: int) -> int:
+        """``value`` wrapped to int64, as C's arithmetic computes it."""
+        return (value + 2**63) % 2**64 - 2**63
 
 
 _ARITH = {
@@ -144,8 +140,7 @@ def statements(draw, depth=0):
 
 @st.composite
 def programs_with_evaluators(draw):
-    """``(source, evaluate)``: ``evaluate(x, y)`` returns ``f(x, y)`` and
-    whether its int64 arithmetic wrapped."""
+    """``(source, evaluate)``: ``evaluate(x, y)`` returns ``f(x, y)``."""
     drawn = draw(st.lists(statements(), min_size=1, max_size=5))
     result, result_eval = draw(expressions())
     body = " ".join(text for text, _ in drawn)
@@ -161,7 +156,7 @@ def programs_with_evaluators(draw):
         env = _Env(x=x, y=y, z=0)
         for _, run in drawn:
             run(env)
-        return result_eval(env), env.overflowed
+        return result_eval(env)
 
     return source, evaluate
 
@@ -181,8 +176,7 @@ def _run(module, args):
 @settings(max_examples=60, deadline=None)
 def test_optimized_pipeline_preserves_semantics(program, x, y):
     source, evaluate = program
-    expected, overflowed = evaluate(x, y)
-    assume(not overflowed)
+    expected = evaluate(x, y)
 
     optimized = lower_source(source)
     for fn in optimized.defined_functions():

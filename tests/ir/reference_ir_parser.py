@@ -1,19 +1,20 @@
-"""Parser for the textual IR format (the printer's inverse).
+"""Parser for the textual IR format: the printer's round-trip reference.
 
 ``parse_module(print_module(m))`` reconstructs an equivalent module;
-the round trip is exercised property-style over the whole benchmark
-corpus in the test suite.  Forward references (PHI incomings and any
-use textually preceding its definition) are handled with placeholder
-values patched after the function body is read.
+``test_parser_roundtrip.py`` checks that the printed text is a fixed
+point of print → parse → print over the whole benchmark corpus.
+Forward references (PHI incomings and any use textually preceding its
+definition) are handled with placeholder values patched after the
+function body is read.
 """
 
 from __future__ import annotations
 
 import re
 
-from .block import BasicBlock
-from .function import Function
-from .instructions import (
+from repro.ir.block import BasicBlock
+from repro.ir.function import Function
+from repro.ir.instructions import (
     AllocaInst,
     BinaryInst,
     BranchInst,
@@ -33,9 +34,9 @@ from .instructions import (
     StoreInst,
     CAST_OPCODES,
 )
-from .module import Module
-from .types import DOUBLE, FLOAT, VOID, FunctionType, IntType, PointerType, Type
-from .values import ConstantFloat, ConstantInt, UndefValue, Value
+from repro.ir.module import Module
+from repro.ir.types import DOUBLE, FLOAT, VOID, FunctionType, IntType, PointerType, Type
+from repro.ir.values import ConstantFloat, ConstantInt, UndefValue, Value
 
 
 class IRParseError(Exception):

@@ -36,6 +36,30 @@ def test_c_style_integer_division():
     assert result == -1
 
 
+INT64_MAX = 2**63 - 1
+INT64_MIN = -2**63
+
+
+def test_int64_max_plus_one_wraps_to_int64_min():
+    """Integer arithmetic wraps in two's complement: the interpreter
+    computes what the lowering's constant folder computes."""
+    result, _, _ = _run("int f(int a) { return a + 1; }", args=[INT64_MAX])
+    assert result == INT64_MIN
+    folded, _, _ = _run(f"int f(void) {{ return {INT64_MAX} + 1; }}")
+    assert folded == INT64_MIN
+
+
+@pytest.mark.parametrize("expr", ["a + 1", "a * 2", "a << 1", "0 - a - 2",
+                                  "a * a", "(0 - a - 1) / (0 - 1)"])
+def test_wrapping_ops_agree_with_the_folder(expr):
+    interpreted, _, _ = _run(f"int f(int a) {{ return {expr}; }}",
+                             args=[INT64_MAX])
+    literal = expr.replace("a", str(INT64_MAX))
+    folded, _, _ = _run(f"int f(void) {{ return {literal}; }}")
+    assert interpreted == folded
+    assert INT64_MIN <= interpreted <= INT64_MAX
+
+
 def test_division_by_zero_raises():
     with pytest.raises(InterpreterError, match="division by zero"):
         _run("int f(int a) { return 1 / a; }", args=[0])

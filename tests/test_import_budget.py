@@ -72,7 +72,7 @@ def test_library_surface_loads_no_driver_code():
     assert offenders(modules, [
         "repro.pipeline", "repro.runtime", "repro.transform",
         "repro.evaluation", "repro.baselines",
-        "repro.constraints.analysis", "repro.ir.parser",
+        "repro.constraints.analysis", "repro.idioms.forloop",
         "asyncio", "multiprocessing",
     ]) == []
 
@@ -129,7 +129,7 @@ def test_subpackages_stay_reachable_as_attributes():
     modules = loaded_after(
         "import repro\n"
         "assert repro.pipeline.detect_corpus\n"
-        "assert repro.ir.parser.parse_module\n"
+        "assert repro.ir.printer.print_module\n"
         "assert repro.baselines.icc.analyze_module\n"
         "assert not hasattr(repro, 'no_such_module')\n"
     )
