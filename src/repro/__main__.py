@@ -198,12 +198,7 @@ def _save_feedback_cli(store, path: str) -> None:
 
 
 def _cmd_detect(args) -> int:
-    from .constraints import (
-        SolverContext,
-        SolverStats,
-        SpecFileError,
-        detect as solve,
-    )
+    from .constraints import SpecFileError
     from .idioms import find_reductions
 
     try:
@@ -235,7 +230,8 @@ def _cmd_detect(args) -> int:
     module, code = _compile_file(args.file)
     if module is None:
         return code
-    report = find_reductions(module, registry=registry)
+    report = find_reductions(module, registry=registry,
+                             extended=args.extended)
     print(report.summary())
     for scalar in report.scalars:
         arrays = ", ".join(b.short_name() for b in scalar.input_bases)
@@ -246,47 +242,26 @@ def _cmd_detect(args) -> int:
         checks = "; ".join(c.describe() for c in histogram.runtime_checks)
         print(f"  histogram {histogram.name}  op={histogram.op.value}  "
               f"({kind} index)  checks [{checks}]")
-    if args.extended:
-        from .idioms import find_extended_in_function
-
-        for function_reductions in report.functions:
-            extensions = find_extended_in_function(
-                function_reductions.function, module, registry=registry,
-                ctx=function_reductions.solver_context,
-                stats=function_reductions.stats,
-                spec_stats=function_reductions.spec_stats,
-            )
-            for dot in extensions.dot_products:
-                print(f"  extension dot-product {dot.name}")
-            for match in extensions.argminmax:
-                print(f"  extension argminmax {match.name}")
-            for nested in extensions.nested_array:
-                print(f"  extension nested-array-reduction {nested.name}"
-                      f"  op={nested.op.value}")
-    custom = registry.custom()
-    if custom:
-        # Reuse the analyses detection already computed per function.
+    for fr in report.functions:
+        if fr.extensions is None:
+            continue
+        for dot in fr.extensions.dot_products:
+            print(f"  extension dot-product {dot.name}")
+        for match in fr.extensions.argminmax:
+            print(f"  extension argminmax {match.name}")
+        for nested in fr.extensions.nested_array:
+            print(f"  extension nested-array-reduction {nested.name}"
+                  f"  op={nested.op.value}")
+    for entry in registry.custom():
+        total = 0
         for fr in report.functions:
-            if fr.solver_context is None:
-                fr.solver_context = SolverContext(fr.function, module)
-        for entry in custom:
-            total = 0
-            for fr in report.functions:
-                stats = SolverStats()
-                matches = solve(fr.solver_context, entry.spec, stats=stats)
-                fr.spec_stats.setdefault(
-                    entry.name, SolverStats()
-                ).merge(stats)
-                if fr.stats is not None:
-                    # Keep the documented invariant: the function
-                    # aggregate is always the merge of the breakdown.
-                    fr.stats.merge(stats)
-                if matches:
-                    print(f"  custom    {entry.name}  {len(matches)} "
-                          f"match(es) in {fr.function.name}")
-                total += len(matches)
-            if total == 0:
-                print(f"  custom    {entry.name}  no matches")
+            matches = fr.custom[entry.name]
+            if matches:
+                print(f"  custom    {entry.name}  {len(matches)} "
+                      f"match(es) in {fr.function.name}")
+            total += len(matches)
+        if total == 0:
+            print(f"  custom    {entry.name}  no matches")
     if args.baselines:
         from .baselines import icc, polly
 

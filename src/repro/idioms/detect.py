@@ -1,9 +1,12 @@
 """Top-level reduction detection driver.
 
-``find_reductions(module)`` runs the scalar-reduction and histogram
-idiom specifications over every function, post-processes the solver
-matches (associativity classification, accumulator confinement,
-privatization safety, alias check generation) and returns a
+:func:`find_reductions_in_function` is the one detection call: on one
+function's :class:`~repro.constraints.SolverContext` it runs the
+scalar-reduction and histogram idiom specifications (post-processing
+their matches: associativity classification, accumulator confinement,
+privatization safety, alias check generation), optionally the §8
+extension idioms, and every custom idiom of the registry.
+``find_reductions(module)`` runs it over every function and returns a
 :class:`~repro.idioms.reports.DetectionReport`.
 
 Specs are resolved through the :class:`~repro.idioms.registry.
@@ -46,23 +49,27 @@ def find_reductions_in_function(
     module: Module | None = None,
     registry: IdiomRegistry | None = None,
     ctx: SolverContext | None = None,
+    extended: bool = False,
 ) -> FunctionReductions:
     """Detect and post-process all reductions of one function.
 
-    Every spec runs against the context's
-    :class:`~repro.constraints.SharedSolverCache`, so the scalar and
-    histogram searches reuse one solved for-loop prefix and each
-    other's memoized proposals.  ``ctx`` is a context already built
-    for ``function`` (a serving worker keeps one per cached function,
-    with an empty search cache); without it the search runs on a
-    fresh context.
+    Runs, in order: the for-loop base, the scalar and histogram specs,
+    the three extension idioms when ``extended`` is true, and every
+    custom idiom of the registry.  Every spec runs against the
+    context's :class:`~repro.constraints.SharedSolverCache`, so all of
+    them replay one solved for-loop prefix and share each other's
+    memoized proposals, and each spec's effort is charged to the
+    result's ``stats`` and ``spec_stats``.  ``ctx`` is a context
+    already built for ``function`` (a serving worker keeps one per
+    cached function, with an empty search cache); without it the
+    search runs on a fresh context.
     """
     registry = registry if registry is not None else default_registry()
     scalar = registry.spec("scalar-reduction")
     histogram = registry.spec("histogram")
     ctx = ctx if ctx is not None else SolverContext(function, module)
     stats = SolverStats()
-    result = FunctionReductions(function, solver_context=ctx, stats=stats)
+    result = FunctionReductions(function, stats=stats)
 
     def run(spec):
         # Each spec records into its own stats object — the feedback
@@ -119,6 +126,16 @@ def find_reductions_in_function(
             seen_histograms.add(key)
             result.histograms.append(record)
 
+    if extended:
+        # Imported here: the extensions module imports this one.
+        from .extensions import find_extended_in_function
+
+        result.extensions = find_extended_in_function(
+            function, module, registry=registry, ctx=ctx,
+            stats=stats, spec_stats=result.spec_stats,
+        )
+    for entry in registry.custom():
+        result.custom[entry.name] = run(entry.spec)
     return result
 
 
@@ -138,21 +155,25 @@ def record_spec_stats(spec_stats: dict, name: str,
 def find_reductions(
     module: Module,
     registry: IdiomRegistry | None = None,
+    extended: bool = False,
 ) -> DetectionReport:
-    """Detect reductions in every defined function of ``module``.
+    """Run :func:`find_reductions_in_function` on every defined
+    function of ``module``, each on a fresh solver context.
 
-    Each function's fresh solver context is left on the function
-    (:attr:`~repro.ir.function.Function.solver_handoff`), stamped with
-    :func:`module_stamp`, for
-    :func:`~repro.idioms.extensions.find_extended_reductions` to reuse.
+    Without ``extended``, each function's context is left on the
+    function (:attr:`~repro.ir.function.Function.solver_handoff`),
+    stamped with :func:`module_stamp`, for
+    :func:`~repro.idioms.extensions.find_extended_reductions` to reuse;
+    with it the extension idioms already ran, and no context is left.
     """
     report = DetectionReport(module.name)
     stamp = module_stamp(module)
     started = time.perf_counter()
     for function in module.defined_functions():
-        found = find_reductions_in_function(function, module, registry=registry)
-        function.solver_handoff = (found.solver_context, stamp)
-        report.functions.append(found)
+        ctx = SolverContext(function, module)
+        report.functions.append(find_reductions_in_function(
+            function, module, registry, ctx, extended))
+        function.solver_handoff = None if extended else (ctx, stamp)
     report.solve_seconds = time.perf_counter() - started
     return report
 

@@ -24,12 +24,11 @@ turns their solutions into match records.  The differential tests
 compare the files solution for solution against an independent Python
 transliteration (``tests/constraints/native_specs.py``).
 
-:func:`find_extended_reductions` runs all three on a module;
-:func:`find_extended_in_function` runs them on one function.  Both
-share one function's :class:`~repro.constraints.SolverContext` (and
-therefore its solved for-loop prefix) with the base detection: the
-pipeline passes the context explicitly, and
-:func:`find_extended_reductions` reuses the one
+:func:`find_extended_in_function` runs all three on one function.
+``find_reductions_in_function(..., extended=True)`` calls it on the
+context of the base detection, so the extension idioms replay its
+solved for-loop prefix.  :func:`find_extended_reductions` is the
+second call of the two-call library path: it reuses the context
 :func:`~repro.idioms.detect.find_reductions` left on each function
 while the module's mutation epochs are unchanged.  The base detection
 itself always starts from a fresh context, so the paper-faithful
@@ -126,9 +125,6 @@ class FunctionExtensions:
     dot_products: list[DotProductMatch] = field(default_factory=list)
     argminmax: list[ArgMinMaxMatch] = field(default_factory=list)
     nested_array: list[NestedArrayReduction] = field(default_factory=list)
-    #: The solver context detection ran with (possibly shared with the
-    #: base detection — see :func:`find_extended_reductions`).
-    solver_context: SolverContext | None = None
 
 
 @dataclass
@@ -167,7 +163,8 @@ def find_extended_in_function(
     Specs resolve through the registry (the shipped ``.icsl`` files by
     default).  Passing the ``ctx`` the base detection already built
     shares every cached analysis *and* the solved for-loop prefix with
-    the scalar/histogram searches, as the pipeline worker and
+    the scalar/histogram searches, as
+    ``find_reductions_in_function(..., extended=True)`` and
     :func:`find_extended_reductions` do; without ``ctx`` the search
     runs on a fresh context.  ``spec_stats`` collects each extension
     spec's search effort under its own name (the solver feedback
@@ -175,7 +172,7 @@ def find_extended_in_function(
     """
     registry = registry if registry is not None else default_registry()
     ctx = ctx if ctx is not None else SolverContext(function, module)
-    result = FunctionExtensions(function, solver_context=ctx)
+    result = FunctionExtensions(function)
     seen: set[tuple] = set()
 
     def run(spec):
@@ -242,10 +239,9 @@ def find_extended_reductions(
     context was built for ``module`` and the module stamp is unchanged
     (no function added, removed, mutated or re-flagged since), so the
     solved for-loop base and every analysis are reused; otherwise on a
-    fresh context.  Either way the hand-off is taken off the function:
-    the function no longer keeps the context alive, so it is freed with
-    the detection report that owns it rather than by a later cycle
-    collection.
+    fresh context.  Either way the hand-off is taken off the function,
+    so nothing keeps the context alive once this call returns, and it
+    is freed without waiting for a cycle collection.
     """
     report = ExtendedReport(module.name)
     stamp = module_stamp(module)

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..analysis.loops import Loop
-from ..constraints import SolverContext, SolverStats
+from ..constraints import SolverStats
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import LoadInst, PhiInst, StoreInst
 from ..ir.values import Value
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .extensions import FunctionExtensions
 
 
 class ReductionOp(enum.Enum):
@@ -105,18 +109,18 @@ class FunctionReductions:
     function: Function
     scalars: list[ScalarReduction] = field(default_factory=list)
     histograms: list[HistogramReduction] = field(default_factory=list)
-    #: The solver context detection ran with (CFG, dominators, loops,
-    #: SCEV, ...), kept so callers can run further specs — e.g. the
-    #: CLI's custom idioms or the pipeline's extension stage — without
-    #: recomputing every analysis (or re-solving the for-loop prefix).
-    solver_context: SolverContext | None = None
-    #: Search-effort counters accumulated across the specs run on this
-    #: function (the pipeline's ``constraint_evals`` metric).
+    #: The §8 extension idioms' matches
+    #: (:class:`~repro.idioms.extensions.FunctionExtensions`), or None
+    #: when detection ran without ``extended``.
+    extensions: FunctionExtensions | None = None
+    #: Each custom idiom of the registry → its solver assignments.
+    custom: dict[str, list] = field(default_factory=dict)
+    #: Search-effort counters accumulated across every spec run on
+    #: this function (the pipeline's ``constraint_evals`` metric).
     stats: SolverStats | None = None
     #: The same effort broken down **per spec name** — the raw material
     #: of the solver feedback store.  ``stats`` is always the merge of
-    #: these (plus whatever extension-stage searches charged to it), so
-    #: the aggregate metric cannot drift from the breakdown.
+    #: these, so the aggregate metric cannot drift from the breakdown.
     spec_stats: dict[str, SolverStats] = field(default_factory=dict)
 
 
@@ -151,22 +155,6 @@ class DetectionReport:
             f.stats.constraint_evals for f in self.functions
             if f.stats is not None
         )
-
-    def release_solver_state(self) -> None:
-        """Drop the retained solver contexts and their shared caches.
-
-        Each :class:`FunctionReductions` keeps its context (analyses,
-        memoized proposals, solved for-loop prefixes) so callers can
-        run further specs cheaply.  A caller that instead *retains
-        reports* — e.g. collecting one per corpus program — should
-        release that state once detection is final, or the caches live
-        as long as the reports do.
-        """
-        for function_reductions in self.functions:
-            context = function_reductions.solver_context
-            if context is not None:
-                context.reset_solver_cache()
-            function_reductions.solver_context = None
 
     def summary(self) -> str:
         """One-line summary used by examples and the harness."""

@@ -42,7 +42,8 @@ class Function(Value):
         #: Mutation counter; see the class docstring.
         self.epoch = 0
         #: ``(SolverContext, module stamp)`` left by the last
-        #: ``find_reductions(module)``; ``find_extended_reductions``
+        #: ``find_reductions(module)`` run without ``extended``;
+        #: ``find_extended_reductions``
         #: takes it off and reuses the context if the stamp
         #: (:func:`repro.idioms.detect.module_stamp`) still holds.
         self.solver_handoff: tuple | None = None

@@ -128,7 +128,6 @@ def detect_corpus(
     extended: bool = False,
     baselines: bool = False,
     suites: Sequence[str] | None = None,
-    spec_files: Sequence[str] = (),
     start_method: str | None = None,
     keys: Sequence[Key] | None = None,
     granularity: str = "program",
@@ -161,7 +160,6 @@ def detect_corpus(
         extended=extended,
         baselines=baselines,
         suites=tuple(suites) if suites is not None else None,
-        spec_files=tuple(spec_files),
         start_method=start_method,
         granularity=granularity,
         feedback_from=feedback_from,

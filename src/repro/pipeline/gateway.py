@@ -467,13 +467,21 @@ class GatewayServer:
         self._stats["failed"] += 1
         return {"type": "failed", "id": client_id, "error": message}
 
-    def _handle_submit(self, conn: _Conn, payload: dict) -> None:
+    def _integer_id(self, conn: _Conn, payload: dict):
+        """The frame's integer ``id``, or None after answering a
+        missing or non-integer one with an ``error`` frame."""
         client_id = payload.get("id")
-        if not isinstance(client_id, int):
-            self._send(conn, {
-                "type": "error", "id": client_id,
-                "error": "submit requires an integer id",
-            })
+        if isinstance(client_id, int):
+            return client_id
+        self._send(conn, {
+            "type": "error", "id": client_id,
+            "error": f"{payload.get('op')} requires an integer id",
+        })
+        return None
+
+    def _handle_submit(self, conn: _Conn, payload: dict) -> None:
+        client_id = self._integer_id(conn, payload)
+        if client_id is None:
             return
         if client_id in conn.requests:
             self._fail_request(
@@ -554,7 +562,9 @@ class GatewayServer:
         })
 
     def _handle_cancel(self, conn: _Conn, payload: dict) -> None:
-        client_id = payload.get("id")
+        client_id = self._integer_id(conn, payload)
+        if client_id is None:
+            return
         request = conn.requests.pop(client_id, None)
         if request is None:
             # Unknown or already terminal: cancellation is idempotent,

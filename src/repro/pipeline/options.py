@@ -1,9 +1,9 @@
 """Pipeline configuration.
 
 :class:`PipelineOptions` crosses process boundaries (it is sent to
-every worker), so it holds only plain picklable data — notably user
-spec *paths*, not loaded registries; each worker builds its own
-:class:`~repro.idioms.registry.IdiomRegistry` from them.
+every worker), so it holds only plain picklable data — notably spec
+label orders, not loaded registries; each worker builds its own
+:class:`~repro.idioms.registry.IdiomRegistry` of the shipped specs.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ class PipelineOptions:
     baselines: bool = False
     #: Restrict to these suites (None = whole corpus).
     suites: tuple[str, ...] | None = None
-    #: Extra ``.icsl`` files loaded into every worker's registry.
-    spec_files: tuple[str, ...] = ()
     #: multiprocessing start method (None = fork when available).
     start_method: str | None = None
     #: Work-unit granularity: ``"program"`` ships whole programs,
@@ -158,7 +156,6 @@ class PipelineOptions:
                 f"got {self.gateway_unit_budget}"
             )
         # Normalize list arguments so options compare/pickle cleanly.
-        object.__setattr__(self, "spec_files", tuple(self.spec_files))
         if self.suites is not None:
             object.__setattr__(self, "suites", tuple(self.suites))
         if self.spec_orders is not None:

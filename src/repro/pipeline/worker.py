@@ -9,16 +9,15 @@ engine:
    cached *per worker* (a program split into function units compiles
    once per worker that touches it, not once per function); no compiled
    module is inherited from the parent, so spawn and fork agree;
-2. **detect**  — the core scalar/histogram idioms via
-   :func:`~repro.idioms.detect.find_reductions_in_function`, all specs
-   of one function sharing that function's
-   :class:`~repro.constraints.SharedSolverCache` (one solved for-loop
-   prefix instead of one per spec);
-3. **extend**  — optionally the §8 extension idioms, *reusing the
-   stage-2 solver contexts* so they also replay the solved prefix;
-4. **baselines** — optionally the icc and Polly models, on the one
+2. **detect**  — one
+   :func:`~repro.idioms.detect.find_reductions_in_function` call per
+   function: the core scalar/histogram idioms and, with ``extended``,
+   the §8 extension idioms, all specs of one function sharing that
+   function's :class:`~repro.constraints.SharedSolverCache` (one solved
+   for-loop prefix instead of one per spec);
+3. **baselines** — optionally the icc and Polly models, on the one
    ``lead`` unit of each program (they analyse whole modules);
-5. **digest** — reduce everything to process-portable
+4. **digest** — reduce everything to process-portable
    :class:`~repro.pipeline.digest.UnitDigest`\\ s.
 
 Search state is per-function and per-unit (each function's search
@@ -51,7 +50,6 @@ from ..idioms.detect import (
     module_stamp,
     record_spec_stats,
 )
-from ..idioms.extensions import find_extended_in_function
 from ..idioms.registry import IdiomRegistry
 from ..workloads import program
 from .digest import UnitDigest, digest_extensions, digest_function
@@ -70,8 +68,6 @@ def _build_registry(options: PipelineOptions, orders=None):
     fallback.
     """
     registry = IdiomRegistry()
-    for path in options.spec_files:
-        registry.load_file(path)
     if orders is None:
         orders = options.spec_orders
         if orders is None and options.feedback_from:
@@ -309,26 +305,15 @@ def detect_unit(
     functions = []
     extended: tuple = ()
     spec_stats: dict[str, SolverStats] = {}
-    detect_seconds = extend_seconds = 0.0
+    detect_seconds = 0.0
     for function in targets:
         started = time.perf_counter()
         ctx = modules.solver_context(unit.key, function, registry)
-        fr = find_reductions_in_function(function, module,
-                                         registry=registry, ctx=ctx)
+        fr = find_reductions_in_function(function, module, registry, ctx,
+                                         options.extended)
         detect_seconds += time.perf_counter() - started
-        if options.extended:
-            # Reuse the detect stage's context (analyses + solver
-            # cache + solved for-loop prefix) and charge the search to
-            # the same per-function stats.
-            started = time.perf_counter()
-            matches = find_extended_in_function(
-                fr.function, module, registry=registry,
-                ctx=fr.solver_context,
-                stats=fr.stats,
-                spec_stats=fr.spec_stats,
-            )
-            extended = extended + digest_extensions(matches)
-            extend_seconds += time.perf_counter() - started
+        if fr.extensions is not None:
+            extended = extended + digest_extensions(fr.extensions)
         # ``fr`` is dropped after its digest, so its stats objects are
         # taken over, not copied.
         for name, stats in fr.spec_stats.items():
@@ -338,8 +323,6 @@ def detect_unit(
         # analyses and flow memo.
         ctx.reset_solver_cache()
     stage_seconds["detect"] = detect_seconds
-    if options.extended:
-        stage_seconds["extend"] = extend_seconds
 
     icc_count = polly_scops = polly_reductions = None
     if options.baselines and unit.lead:

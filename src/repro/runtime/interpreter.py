@@ -75,6 +75,11 @@ _INT_BINOPS = {
 #: (``ConstantInt``) computes it.
 _WRAPPING = frozenset({"add", "sub", "mul", "shl", "sdiv"})
 
+#: Shifts, whose count must lie in ``0 .. width - 1``: C leaves any
+#: other count undefined, and checking first keeps a huge count from
+#: building a huge int before the wrap.
+_SHIFTS = frozenset({"shl", "ashr"})
+
 _FLOAT_BINOPS = {
     "fadd": lambda a, b: a + b,
     "fsub": lambda a, b: a - b,
@@ -217,6 +222,12 @@ class Interpreter:
             if opcode in _FLOAT_BINOPS:
                 result = _FLOAT_BINOPS[opcode](lhs, rhs)
             else:
+                if opcode in _SHIFTS and not \
+                        0 <= rhs < instruction.type.width:
+                    raise InterpreterError(
+                        f"{opcode} by {rhs}: shift count outside "
+                        f"0..{instruction.type.width - 1}"
+                    )
                 result = _INT_BINOPS[opcode](lhs, rhs)
                 if opcode in _WRAPPING:
                     width = instruction.type.width

@@ -1,9 +1,11 @@
 """The solver context hand-off from detection to the extension idioms.
 
-``find_reductions(module)`` leaves each function's context on the
-function, stamped with the module's mutation epochs;
-``find_extended_reductions(module)`` reuses it while the stamp holds
-and builds a fresh one otherwise.  Reuse must never change a report.
+The two-call library path: ``find_reductions(module)`` leaves each
+function's context on the function, stamped with the module's
+mutation epochs; ``find_extended_reductions(module)`` reuses it while
+the stamp holds and builds a fresh one otherwise.  Reuse must never
+change a report.  ``find_reductions(module, extended=True)`` runs the
+extension idioms itself and leaves no context behind.
 """
 
 import gc
@@ -75,8 +77,16 @@ def test_find_reductions_leaves_its_contexts_on_the_functions():
     report = find_reductions(module)
     for found in report.functions:
         ctx, _stamp = found.function.solver_handoff
-        assert ctx is found.solver_context
+        assert isinstance(ctx, SolverContext)
+        assert ctx.function is found.function and ctx.module is module
     assert module.get_function("norm").solver_handoff is None
+
+
+def test_extended_detection_leaves_no_context():
+    module = compile_source(SOURCE, "m")
+    find_reductions(module)
+    find_reductions(module, extended=True)
+    assert all(f.solver_handoff is None for f in module.functions.values())
 
 
 def test_per_function_detection_leaves_no_context():
@@ -155,19 +165,22 @@ def test_contexts_do_not_outlive_their_module():
     assert all(ref() is None for ref in refs)
 
 
-def test_after_extension_the_report_alone_keeps_the_contexts():
-    """Dropping the detection report frees the contexts at once, with
-    no cycle collection: the hand-off is gone from the functions."""
+def test_no_context_outlives_find_extended_reductions():
+    """The handed-over contexts die when ``find_extended_reductions``
+    returns, with no cycle collection, while the module and both
+    reports are still alive: no report keeps a context."""
     module = compile_source(SOURCE, "m")
     report = find_reductions(module)
-    find_extended_reductions(module)
-    refs = [weakref.ref(found.solver_context) for found in report.functions]
+    refs = [weakref.ref(f.solver_handoff[0])
+            for f in module.defined_functions()]
     gc.disable()
     try:
-        del report
+        extended = find_extended_reductions(module)
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+    assert report.counts() == (2, 0)
+    assert len(extended.dot_products) == 1
 
 
 def _assert_reuse_matches_fresh(programs):

@@ -73,20 +73,3 @@ def test_main_loop_calls_do_not_confuse_detection():
     assert main_records
     assert not main_records[0].scalars
     assert not main_records[0].histograms
-
-
-def test_release_solver_state_drops_contexts_and_caches():
-    """Callers retaining reports long-term can shed the hoisted solver
-    state (contexts, memoized proposals, solved prefixes)."""
-    module = compile_source(SOURCE)
-    report = find_reductions(module)
-    caches = [
-        f.solver_context.solver_cache for f in report.functions
-    ]
-    assert any(c.base_solutions for c in caches)  # prefixes were solved
-    report.release_solver_state()
-    assert all(f.solver_context is None for f in report.functions)
-    assert all(not c.base_solutions and not c.proposal_memo
-               for c in caches)
-    # The detections themselves are untouched.
-    assert report.counts() == (1, 1)

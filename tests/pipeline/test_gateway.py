@@ -146,6 +146,14 @@ def test_unknown_priority_fails_the_request(client):
         client.result(request)
 
 
+def next_control_frame(sock):
+    """The next frame that is not a streamed program result."""
+    while True:
+        frame = read_frame(sock)
+        if frame["type"] not in ("digest", "result"):
+            return frame
+
+
 def test_protocol_errors_answered_with_error_frames(server):
     sock = socket.create_connection(("127.0.0.1", server.port),
                                     timeout=60)
@@ -158,6 +166,20 @@ def test_protocol_errors_answered_with_error_frames(server):
         frame = read_frame(sock)
         assert frame["type"] == "error"
         assert "integer id" in frame["error"]
+        # With a request in flight, a cancel whose id is a list or an
+        # object (unhashable) gets an error frame, and the connection
+        # stays up.
+        sock.sendall(encode_frame({"op": "submit", "id": 1,
+                                   "priority": "batch"}))
+        assert read_frame(sock)["type"] == "accepted"
+        for bad_id in ([1], {}):
+            sock.sendall(encode_frame({"op": "cancel", "id": bad_id}))
+            frame = next_control_frame(sock)
+            assert frame["type"] == "error"
+            assert "cancel requires an integer id" in frame["error"]
+            sock.sendall(encode_frame({"op": "ping"}))
+            assert next_control_frame(sock)["type"] == "pong"
+        sock.sendall(encode_frame({"op": "cancel", "id": 1}))
     finally:
         sock.close()
 

@@ -65,6 +65,22 @@ def test_division_by_zero_raises():
         _run("int f(int a) { return 1 / a; }", args=[0])
 
 
+@pytest.mark.parametrize("op, opcode", [("<<", "shl"), (">>", "ashr")])
+@pytest.mark.parametrize("count", [-1, 64, 10**9])
+def test_out_of_range_shift_count_raises(op, opcode, count):
+    """A count outside 0..63 is refused before shifting, naming the
+    opcode and the count: 10**9 must not build a 10**9-bit int."""
+    with pytest.raises(InterpreterError, match=f"{opcode} by {count}:"):
+        _run(f"int f(int a, int b) {{ return a {op} b; }}", args=[3, count])
+
+
+@pytest.mark.parametrize("count, expected", [(0, 3), (63, INT64_MIN)])
+def test_shift_counts_at_the_range_ends(count, expected):
+    result, _, _ = _run("int f(int a, int b) { return a << b; }",
+                        args=[3, count])
+    assert result == expected
+
+
 def test_loop_sum_and_counters():
     source = """
     double a[8]; int n;
