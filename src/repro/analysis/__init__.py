@@ -1,9 +1,12 @@
-"""Compiler analyses: CFG, dominators, loops, purity, scalar evolution."""
+"""Compiler analyses: CFG, dominators, loops, purity, scalar evolution,
+and the per-function cache that keeps them."""
 
 from .._lazy import lazy_exports
 
 _EXPORTS = {
     "CFG": "cfg",
+    "FunctionAnalyses": "cache",
+    "function_analyses": "cache",
     "DominatorTree": "dominators",
     "dominance_frontiers": "dominators",
     "Loop": "loops",

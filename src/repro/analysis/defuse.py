@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from ..ir.block import BasicBlock
-from ..ir.function import Function
 from ..ir.instructions import Instruction
 from ..ir.values import Value
 from .loops import Loop
@@ -69,12 +68,3 @@ def transitive_operands(value: Value, limit: int = 100000) -> set[Value]:
         if isinstance(current, Instruction):
             work.extend(current.operands)
     return result
-
-
-def instruction_index(function: Function) -> dict[int, tuple[int, int]]:
-    """Map id(instruction) -> (block position, instruction position)."""
-    index: dict[int, tuple[int, int]] = {}
-    for block_pos, block in enumerate(function.blocks):
-        for instr_pos, instruction in enumerate(block.instructions):
-            index[id(instruction)] = (block_pos, instr_pos)
-    return index

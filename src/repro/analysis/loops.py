@@ -48,10 +48,6 @@ class Loop:
             node = node.parent
         return depth
 
-    def contains(self, block: BasicBlock) -> bool:
-        """True if ``block`` belongs to this loop (or a nested one)."""
-        return block in self.blocks
-
     def is_innermost(self) -> bool:
         """True if no loop nests inside this one."""
         return not self.children

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.loops import Loop, LoopInfo
+from ..analysis.cache import function_analyses
+from ..analysis.loops import Loop
 from ..analysis.scev import ScalarEvolution
 from ..constraints.flow import root_base
 from ..idioms.postprocess import classify_update
@@ -30,7 +31,6 @@ from ..ir.instructions import (
     CallInst,
     GEPInst,
     LoadInst,
-    PhiInst,
     StoreInst,
 )
 from ..ir.module import Module
@@ -74,9 +74,9 @@ def analyze_module(module: Module) -> IccReport:
     """Run the icc model over every defined function."""
     report = IccReport(module.name)
     for function in module.defined_functions():
-        loop_info = LoopInfo(function)
-        scev = ScalarEvolution(function, loop_info)
-        for loop in loop_info.loops:
+        analyses = function_analyses(function)
+        scev = analyses.scev
+        for loop in analyses.loop_info.loops:
             if not loop.is_innermost():
                 continue  # icc analyses innermost loops
             report.loops.append(_analyze_loop(function, loop, scev))

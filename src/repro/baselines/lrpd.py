@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.loops import LoopInfo
-from ..analysis.scev import ScalarEvolution
+from ..analysis.cache import function_analyses
 from ..idioms.postprocess import classify_update
 from ..ir.function import Function
 from ..ir.instructions import CallInst
@@ -44,10 +43,10 @@ def analyze_module(module: Module) -> LrpdReport:
 
 
 def _analyze_function(function: Function) -> list[str]:
-    loop_info = LoopInfo(function)
-    scev = ScalarEvolution(function, loop_info)
+    analyses = function_analyses(function)
+    scev = analyses.scev
     found = []
-    for loop in loop_info.loops:
+    for loop in analyses.loop_info.loops:
         bounds = scev.loop_bounds(loop)
         if bounds is None:
             continue

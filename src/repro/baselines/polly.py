@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis.cache import function_analyses
 from ..analysis.loops import Loop, LoopInfo
 from ..analysis.scev import ScalarEvolution
 from ..constraints.flow import root_base
@@ -37,7 +38,6 @@ from ..ir.instructions import (
     GEPInst,
     ICmpInst,
     LoadInst,
-    PhiInst,
     StoreInst,
 )
 from ..ir.module import Module
@@ -96,8 +96,8 @@ def analyze_module(module: Module) -> PollyReport:
 
 def find_scops(function: Function) -> list[SCoP]:
     """Top-level loop nests of ``function`` that qualify as SCoPs."""
-    loop_info = LoopInfo(function)
-    scev = ScalarEvolution(function, loop_info)
+    analyses = function_analyses(function)
+    loop_info, scev = analyses.loop_info, analyses.scev
     scops = []
     for loop in loop_info.top_level_loops():
         if _nest_is_static(loop, loop_info, scev):

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.loops import LoopInfo
-from ..analysis.scev import ScalarEvolution
+from ..analysis.cache import function_analyses
 from ..ir.function import Function
 from ..ir.instructions import BinaryInst, CallInst
 from ..ir.module import Module
@@ -43,10 +42,10 @@ def analyze_module(module: Module) -> ScevReductionReport:
 
 
 def _analyze_function(function: Function) -> list[str]:
-    loop_info = LoopInfo(function)
-    scev = ScalarEvolution(function, loop_info)
+    analyses = function_analyses(function)
+    scev = analyses.scev
     found = []
-    for loop in loop_info.loops:
+    for loop in analyses.loop_info.loops:
         if not loop.is_innermost():
             continue
         bounds = scev.loop_bounds(loop)

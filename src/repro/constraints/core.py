@@ -23,19 +23,21 @@ plus every cached analysis the atomic constraints consult.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from ..analysis.cfg import CFG
-from ..analysis.controldep import control_dependences
-from ..analysis.dominators import DominatorTree
-from ..analysis.loops import LoopInfo
+from ..analysis.cache import function_analyses
 from ..analysis.purity import PurityAnalysis
-from ..analysis.scev import ScalarEvolution
 from ..ir.block import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import BranchInst, Instruction
+from ..ir.instructions import Instruction
 from ..ir.module import Module
-from ..ir.values import Argument, Constant, GlobalVariable, Value
+from ..ir.values import Value
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.dominators import DominatorTree
+    from ..analysis.loops import LoopInfo
+    from ..analysis.scev import ScalarEvolution
 
 #: A (partial) assignment of labels to IR values.
 Assignment = Mapping[str, Value]
@@ -97,33 +99,31 @@ def kind_join(a: str, b: str) -> str:
 
 
 class SolverContext:
-    """A function plus cached analyses — the ``FunctionWrapper`` of Fig. 7.
+    """A function plus its analyses — the ``FunctionWrapper`` of Fig. 7.
 
-    The cheap, universally-consulted analyses (CFG, dominators, the
-    value universe and the opcode index) are built eagerly; the heavier
-    ones (post-dominators, loops, SCEV, control dependences, purity)
-    are computed on first access and cached.  Laziness only moves the
-    cost to the first constraint that consults the analysis — verdicts
-    are unchanged, and a spec set that never touches e.g. SCEV never
-    pays for it.
+    The CFG, dominators, post-dominators, loops, SCEV, control
+    dependences, value universe, candidate indexes and flow memo come
+    from the function's analysis cache
+    (:func:`~repro.analysis.cache.function_analyses`), which keeps them
+    while the function is unchanged, so a new context for an unchanged
+    function builds none of them again.  The post-dominators, loops,
+    SCEV and control dependences are taken on first access, so a spec
+    set that never consults e.g. SCEV never builds it.  Purity and the
+    search cache are this context's own.
     """
 
     def __init__(self, function: Function, module: Module | None = None):
         self.function = function
         self.module = module
-        self.cfg = CFG(function)
-        self.dom = DominatorTree.compute(function, self.cfg)
+        self.analyses = function_analyses(function)
+        self.cfg = self.analyses.cfg
+        self.dom = self.analyses.dom
+        self._index = self.analyses.value_index
         #: ``values(F)`` from §3.2 — the candidate universe.
-        self.universe: list[Value] = function.value_universe()
-        self._by_opcode: dict[str, list[Instruction]] = {}
+        self.universe: list[Value] = self._index.universe
         #: Block-order position of every instruction: use-list
         #: proposals sort by it, so they enumerate in opcode-index order.
-        self.instruction_position: dict[Instruction, int] = {}
-        for position, instruction in enumerate(function.instructions()):
-            self._by_opcode.setdefault(instruction.opcode, []).append(
-                instruction
-            )
-            self.instruction_position[instruction] = position
+        self.instruction_position = self._index.position
         #: The function-wide lists proposals hand out uncopied (the
         #: block list and the opcode-index lists), by ``id``.  The plan
         #: engine memoizes them as they are and hashes each one once
@@ -131,52 +131,41 @@ class SolverContext:
         #: holding them here keeps their ids from being recycled.
         self.shared_lists: dict[int, list] = {
             id(shared): shared
-            for shared in (function.blocks, *self._by_opcode.values())
+            for shared in (function.blocks, *self._index.by_opcode.values())
         }
-        self._uncond_sources: dict[Value, list[BasicBlock]] | None = None
-        self._uncond_blocks: list[BasicBlock] | None = None
-        self._constant_like: list[Value] | None = None
         self._solver_cache = None
-        #: Memoized flow-slice verdicts, keyed by the checking
-        #: constraint and the identities of its bound label values —
-        #: an analysis cache like the lazy properties below (the
-        #: verdict is a pure function of this context and those
-        #: bindings), consulted by
-        #: :class:`~repro.constraints.flow.ComputedOnlyFrom`.
-        self.flow_memo: dict[tuple, bool] = {}
-        self._postdom = None
-        self._loop_info = None
-        self._scev = None
-        self._control_deps = None
         self._purity = None
 
-    @property
+    @cached_property
     def postdom(self) -> DominatorTree:
-        if self._postdom is None:
-            self._postdom = DominatorTree.compute_post(
-                self.function, self.cfg
-            )
-        return self._postdom
+        return self.analyses.postdom
 
-    @property
+    @cached_property
     def loop_info(self) -> LoopInfo:
-        if self._loop_info is None:
-            self._loop_info = LoopInfo(self.function, self.cfg, self.dom)
-        return self._loop_info
+        return self.analyses.loop_info
 
-    @property
+    @cached_property
     def scev(self) -> ScalarEvolution:
-        if self._scev is None:
-            self._scev = ScalarEvolution(self.function, self.loop_info)
-        return self._scev
+        return self.analyses.scev
 
-    @property
+    @cached_property
     def control_deps(self):
-        if self._control_deps is None:
-            self._control_deps = control_dependences(
-                self.function, self.postdom, self.cfg
-            )
-        return self._control_deps
+        return self.analyses.control_deps
+
+    @cached_property
+    def flow_memo(self) -> dict[tuple, bool]:
+        """Memoized flow-slice verdicts, keyed by the checking flow
+        policy and the identities of its bound label values, consulted
+        by :class:`~repro.constraints.flow.ComputedOnlyFrom`.  Kept in
+        the function's analysis cache and shared by every context of
+        the function whose callees are pure alike."""
+        callees = dict.fromkeys(
+            call.callee for call in self.instructions_with_opcode("call"))
+        # A declaration's purity is its flag with or without the
+        # module's analysis, so only a defined callee builds that.
+        return self.analyses.flow_memo(tuple(
+            callee.pure if callee.is_declaration
+            else self.is_pure_call_target(callee) for callee in callees))
 
     @property
     def purity(self) -> PurityAnalysis | None:
@@ -201,22 +190,10 @@ class SolverContext:
             self._solver_cache = _SharedSolverCache()
         return self._solver_cache
 
-    def reset_solver_cache(self) -> None:
-        """Drop the shared search state; the next search starts an
-        empty :attr:`solver_cache`.
-
-        The analyses and :attr:`flow_memo` stay.  A context kept across
-        requests is reset between them, so each request's effort
-        counters are those of a fresh context.
-        """
-        if self._solver_cache is not None:
-            self._solver_cache.clear()
-            self._solver_cache = None
-
     def instructions_with_opcode(self, opcode: str) -> list[Instruction]:
         """All instructions of the function with the given opcode, in
         block order.  Callers must not mutate the returned list."""
-        return self._by_opcode.get(opcode, [])
+        return self._index.by_opcode.get(opcode, [])
 
     def blocks(self) -> list[BasicBlock]:
         """All basic blocks of the function.  Callers must not mutate
@@ -224,36 +201,17 @@ class SolverContext:
         return self.function.blocks
 
     def uncond_branch_blocks(self, target: Value | None = None) -> list[BasicBlock]:
-        """Blocks ending in an unconditional branch, in block order.
-
-        With ``target``, only the blocks branching to it.  Indexed on
-        first use; callers must not mutate the returned list.
-        """
-        if self._uncond_blocks is None:
-            self._uncond_blocks = []
-            self._uncond_sources = {}
-            for block in self.function.blocks:
-                terminator = block.terminator
-                if isinstance(terminator, BranchInst) and not terminator.is_conditional:
-                    self._uncond_blocks.append(block)
-                    self._uncond_sources.setdefault(
-                        terminator.targets()[0], []
-                    ).append(block)
+        """Blocks ending in an unconditional branch, in block order;
+        with ``target``, only the blocks branching to it.  Callers must
+        not mutate the returned list."""
         if target is None:
-            return self._uncond_blocks
-        return self._uncond_sources.get(target, [])
+            return self._index.uncond_blocks
+        return self._index.uncond_sources.get(target, [])
 
     def constant_like(self) -> list[Value]:
         """The constants, arguments and globals of :attr:`universe`, in
-        universe order.  Indexed on first use; callers must not mutate
-        the returned list."""
-        if self._constant_like is None:
-            self._constant_like = [
-                v
-                for v in self.universe
-                if isinstance(v, (Constant, Argument, GlobalVariable))
-            ]
-        return self._constant_like
+        universe order.  Callers must not mutate the returned list."""
+        return self._index.constant_like
 
     def is_pure_call_target(self, function: Function) -> bool:
         """Purity of a callee (module-wide analysis when available)."""

@@ -310,6 +310,11 @@ class ComputedOnlyFrom(Constraint):
         self.output_label = output
         self.header_label = header
         self.policy_factory = policy_factory
+        #: What the flow memo knows this check by: the policy's
+        #: description for a declarative flow, so a memo kept with the
+        #: function pins no registry's constraint objects and serves
+        #: every registry; the constraint itself otherwise.
+        self.memo_key = None
 
     def label_kinds(self):
         pairs = [(self.output_label, "value"), (self.header_label, "block")]
@@ -321,16 +326,14 @@ class ComputedOnlyFrom(Constraint):
         return tuple(pairs)
 
     def check(self, ctx: SolverContext, assignment: Assignment) -> bool:
-        # The verdict is a pure function of the context's (immutable)
-        # analyses and this constraint's bound label values, and the
-        # same slice is re-checked across specs sharing conjuncts and
-        # across prefix replays — memoized per context like the other
-        # analysis caches.
-        # The constraint object itself is part of the key — identity
-        # addressing that also pins it alive in the memo, exactly like
-        # the shared proposal cache (value ids are stable: the context
-        # keeps the function's values alive).
-        key = (self,) + tuple(
+        # The verdict is a pure function of the function's analyses,
+        # its callees' purity and this policy's bound label values, and
+        # the same slice is re-checked across specs sharing conjuncts,
+        # across prefix replays and across requests for an unchanged
+        # function — see ``SolverContext.flow_memo``.  Value ids are
+        # stable while the memo lives: the function's analysis cache
+        # keeps its values alive.
+        key = (self.memo_key or self,) + tuple(
             id(assignment[label]) for label in self.labels
         )
         memo = ctx.flow_memo
@@ -404,6 +407,8 @@ def declarative_flow(
 
     extra = tuple(dict.fromkeys(sources + rejected + forbidden + index))
     constraint = ComputedOnlyFrom(output, header, factory, extra_labels=extra)
+    constraint.memo_key = ("flow", output, header, sources, rejected,
+                           forbidden, index, affine, loads)
     constraint.spec_atom = (
         "flow",
         {

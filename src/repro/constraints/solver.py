@@ -298,14 +298,6 @@ class SharedSolverCache:
         """Record the complete solution list of ``spec``."""
         self.base_solutions[spec] = solutions
 
-    def clear(self) -> None:
-        """Drop all shared search state (frees the pinned objects)."""
-        self.proposal_memo.clear()
-        self.base_solutions.clear()
-        self.intersection_memo.clear()
-        self.depth_memo.clear()
-        self.id_sets.clear()
-
 
 class CompiledSpec:
     """A spec pre-compiled for the incremental solver.

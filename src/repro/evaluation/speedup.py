@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..analysis.loops import LoopInfo
+from ..analysis.cache import function_analyses
 from ..idioms import find_reductions
 from ..runtime import Interpreter, MachineModel, Memory, ParallelExecutor
 from ..runtime.parallel import ParallelRunResult
@@ -220,9 +220,8 @@ def _original_speedup(strategy, module, seq_interp, t_seq, parallel_result,
 def _loop_instructions(module, interp: Interpreter) -> int:
     total = 0
     for function in module.defined_functions():
-        loop_info = LoopInfo(function)
         counted = set()
-        for loop in loop_info.loops:
+        for loop in function_analyses(function).loop_info.loops:
             for block in loop.blocks:
                 if id(block) not in counted:
                     counted.add(id(block))

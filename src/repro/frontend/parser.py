@@ -439,7 +439,12 @@ class Parser:
             return IntLit(int(token.text), line=token.line)
         if token.kind == "float":
             self.advance()
-            return FloatLit(float(token.text), line=token.line)
+            try:
+                value = float(token.text)
+            except ValueError:
+                # The lexer takes ``0e`` and ``1e+`` as one token.
+                raise ParseError("malformed float literal", token) from None
+            return FloatLit(value, line=token.line)
         if token.kind == "ident":
             self.advance()
             if self.current.is_op("("):

@@ -177,10 +177,12 @@ def _fold_binary(op: str, lhs, rhs):
         if rhs == 0 or not both_int:
             return None
         return _c_rem(lhs, rhs)
-    if op == "<<" and both_int:
-        return lhs << rhs
-    if op == ">>" and both_int:
-        return lhs >> rhs
+    if op in ("<<", ">>"):
+        # Only counts the interpreter shifts by: any other count is
+        # left to run (and fail) as a shift.
+        if not both_int or not 0 <= rhs <= 63:
+            return None
+        return lhs << rhs if op == "<<" else lhs >> rhs
     comparisons = {
         "==": lhs == rhs,
         "!=": lhs != rhs,

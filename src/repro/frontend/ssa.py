@@ -18,7 +18,7 @@ dominator tree, and a read before any write yields the variable's one
 
 from __future__ import annotations
 
-from ..analysis.cfg import CFG
+from ..analysis.cache import function_analyses
 from ..ir import BasicBlock, Function, PhiInst, Type, UndefValue, Value
 
 
@@ -258,7 +258,7 @@ class SSABuilder:
         if not joins:
             return
         children: dict[BasicBlock, list[BasicBlock]] = {}
-        for block in CFG(function).reverse_post_order():
+        for block in function_analyses(function).cfg.reverse_post_order():
             idom = self._idom[block]
             if idom is not None:
                 children.setdefault(idom, []).append(block)

@@ -39,7 +39,6 @@ from .reports import (
     DetectionReport,
     FunctionReductions,
     HistogramReduction,
-    ReductionOp,
     ScalarReduction,
 )
 
@@ -60,9 +59,9 @@ def find_reductions_in_function(
     them replay one solved for-loop prefix and share each other's
     memoized proposals, and each spec's effort is charged to the
     result's ``stats`` and ``spec_stats``.  ``ctx`` is a context
-    already built for ``function`` (a serving worker keeps one per
-    cached function, with an empty search cache); without it the
-    search runs on a fresh context.
+    already built for ``function``; without it the search runs on a
+    fresh one, which takes the function's analyses from its cache
+    (:mod:`repro.analysis.cache`).
     """
     registry = registry if registry is not None else default_registry()
     scalar = registry.spec("scalar-reduction")

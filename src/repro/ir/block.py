@@ -75,12 +75,6 @@ class BasicBlock(Value):
                 break
         return result
 
-    def non_phi_instructions(self) -> Iterator[Instruction]:
-        """Iterate over the instructions after the PHI prefix."""
-        for instruction in self.instructions:
-            if not isinstance(instruction, PhiInst):
-                yield instruction
-
     # -- CFG -----------------------------------------------------------------
 
     def successors(self) -> list["BasicBlock"]:

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Iterator
 from .block import BasicBlock
 from .instructions import Instruction
 from .types import FunctionType
-from .values import Argument, Constant, GlobalVariable, Value
+from .values import Argument, Value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .module import Module
@@ -23,9 +23,9 @@ class Function(Value):
     present are pure"*).
 
     ``epoch`` counts mutations: every block, instruction or operand
-    change made through the IR's methods bumps it, so a cached
-    analysis stamped with an epoch can tell whether it is still
-    current.
+    change made through the IR's methods bumps it, so the function's
+    analysis cache (:mod:`repro.analysis.cache`) can tell whether what
+    it keeps is still current.
     """
 
     def __init__(
@@ -41,6 +41,10 @@ class Function(Value):
         self.parent: "Module | None" = None
         #: Mutation counter; see the class docstring.
         self.epoch = 0
+        #: The function's :class:`~repro.analysis.cache.
+        #: FunctionAnalyses`, made by
+        #: :func:`~repro.analysis.cache.function_analyses` on first use.
+        self.analysis_cache = None
         #: ``(SolverContext, module stamp)`` left by the last
         #: ``find_reductions(module)`` run without ``extended``;
         #: ``find_extended_reductions``
@@ -96,36 +100,6 @@ class Function(Value):
         """Iterate over all instructions in block order."""
         for block in self.blocks:
             yield from block.instructions
-
-    # -- solver support --------------------------------------------------------
-
-    def value_universe(self) -> list[Value]:
-        """All values mentioned in this function.
-
-        This is ``values(F)`` from §3.2 of the paper: instructions,
-        constants, function arguments, basic block labels and global
-        variables used in the function.  The constraint solver draws its
-        candidates from this set.
-        """
-        universe: list[Value] = []
-        seen: set[int] = set()
-
-        def add(value: Value) -> None:
-            if id(value) not in seen:
-                seen.add(id(value))
-                universe.append(value)
-
-        for argument in self.args:
-            add(argument)
-        for block in self.blocks:
-            add(block)
-            for instruction in block.instructions:
-                add(instruction)
-                # The operand list itself: ``.operands`` copies it.
-                for operand in instruction._operands:
-                    if isinstance(operand, (Constant, GlobalVariable)):
-                        add(operand)
-        return universe
 
     def short_name(self) -> str:
         return f"@{self.name}"

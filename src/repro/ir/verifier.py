@@ -104,16 +104,13 @@ def _is_scoped_value(value: Value) -> bool:
 
 
 def _check_ssa_dominance(function: Function) -> None:
-    from ..analysis.dominators import DominatorTree
+    from ..analysis.cache import function_analyses
 
-    tree = DominatorTree.compute(function)
-    positions: dict[int, tuple[BasicBlock, int]] = {}
+    analyses = function_analyses(function)
+    tree = analyses.dom
+    position = analyses.value_index.position
     for block in function.blocks:
-        for index, instruction in enumerate(block.instructions):
-            positions[id(instruction)] = (block, index)
-
-    for block in function.blocks:
-        for index, instruction in enumerate(block.instructions):
+        for instruction in block.instructions:
             if isinstance(instruction, PhiInst):
                 for value, pred in instruction.incoming:
                     if isinstance(value, Instruction):
@@ -130,14 +127,14 @@ def _check_ssa_dominance(function: Function) -> None:
             for operand in instruction.operands:
                 if not isinstance(operand, Instruction):
                     continue
-                def_block, def_index = positions.get(id(operand), (None, -1))
-                if def_block is None:
+                if operand not in position:
                     raise VerificationError(
                         f"{function.name}: use of uninserted instruction "
                         f"{operand!r}"
                     )
+                def_block = operand.parent
                 if def_block is block:
-                    if def_index >= index:
+                    if position[operand] >= position[instruction]:
                         raise VerificationError(
                             f"{function.name}: {operand.short_name()} used "
                             f"before definition in {block.name}"

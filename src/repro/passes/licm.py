@@ -10,7 +10,7 @@ when the loop neither stores to that global nor performs impure calls.
 
 from __future__ import annotations
 
-from ..analysis.loops import LoopInfo
+from ..analysis.cache import function_analyses
 from ..ir.function import Function
 from ..ir.instructions import CallInst, LoadInst, StoreInst
 from ..ir.values import GlobalVariable
@@ -26,7 +26,7 @@ def hoist_invariant_loads(function: Function) -> int:
     # their blocks in set (address) order; visit both in function block
     # order so the hoisted loads land in the same preheader order on
     # every compile.
-    loop_info = LoopInfo(function)
+    loop_info = function_analyses(function).loop_info
     position = {block: i for i, block in enumerate(function.blocks)}
     candidates = []
     for loop in sorted(loop_info.loops, key=lambda loop: position[loop.header]):

@@ -13,8 +13,8 @@ It still promotes hand-built alloca IR.
 
 from __future__ import annotations
 
-from ..analysis.cfg import CFG
-from ..analysis.dominators import DominatorTree, dominance_frontiers
+from ..analysis.cache import function_analyses
+from ..analysis.dominators import dominance_frontiers
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import AllocaInst, LoadInst, PhiInst, StoreInst
@@ -54,8 +54,8 @@ def promote_allocas(function: Function) -> int:
     # One graph serves the tree, the frontiers and the renaming walk:
     # the CFG depends only on terminators, which PHI placement and
     # renaming never touch.
-    cfg = CFG(function)
-    tree = DominatorTree.compute(function, cfg)
+    analyses = function_analyses(function)
+    cfg, tree = analyses.cfg, analyses.dom
     frontiers = dominance_frontiers(function, tree, cfg)
     reachable = set(tree.blocks())
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..ir.function import Function
 from ..ir.instructions import BranchInst, PhiInst
-from ..analysis.cfg import CFG
+from ..analysis.cache import function_analyses
 
 
 def remove_unreachable_blocks(function: Function) -> int:
@@ -15,7 +15,7 @@ def remove_unreachable_blocks(function: Function) -> int:
     """
     if function.is_declaration:
         return 0
-    reachable = CFG(function).reachable()
+    reachable = function_analyses(function).cfg.reachable()
     dead = [b for b in function.blocks if b not in reachable]
     for block in dead:
         for instruction in block.instructions:

@@ -40,10 +40,10 @@ not once per request:
   long-lived pool survives worker turnover by construction;
 * **workers are warm** — each worker keeps its
   :class:`~repro.idioms.registry.IdiomRegistry` and a compiled-module
-  cache, with one solver context (the function's analyses) per cached
-  function it ran more than once, for the life of the process, so
-  repeated traffic over the same corpus pays compiles and analyses
-  once or twice per worker, not once per request.
+  cache for the life of the process, and each cached function keeps
+  its analyses (:mod:`repro.analysis.cache`), so repeated traffic
+  over the same corpus pays compiles and analyses once per worker,
+  not once per request.
 
 Determinism: :meth:`ServingJob.result` reassembles each program
 through the checked :func:`~repro.pipeline.digest.assemble_program`,
@@ -229,11 +229,11 @@ def serve_worker(worker_id: int, task_conn, result_conn,
     of the sentinel, so shutdown needs a signal workers check
     themselves; the flag is lock-free, so a worker killed mid-check
     cannot leave a lock held that every other worker then blocks on.
-    The idiom registry, the compiled modules and one solver context
-    per cached function run more than once
-    (:class:`~repro.pipeline.worker.ModuleCache`) stay warm across tasks — and across jobs — while each task's
-    search starts from an empty cache, so its digest is the one a cold
-    worker would send.  ``spec_orders`` is the job's feedback-derived
+    The idiom registry and the compiled modules
+    (:class:`~repro.pipeline.worker.ModuleCache`), with their
+    functions' cached analyses, stay warm across tasks — and across
+    jobs — while each task's search runs on a fresh solver context,
+    so its digest is the one a cold worker would send.  ``spec_orders`` is the job's feedback-derived
     label-order mapping (None = the options-level orders the worker
     booted with): self-contained per task, so a job submitted before a
     feedback refresh keeps its orders even while newer jobs run

@@ -20,12 +20,15 @@ engine:
 4. **digest** — reduce everything to process-portable
    :class:`~repro.pipeline.digest.UnitDigest`\\ s.
 
-Search state is per-function and per-unit (each function's search
-starts from an empty :class:`~repro.constraints.SharedSolverCache`;
-a serving worker reuses only the function's analyses, see
-:class:`ModuleCache`), so a function's digest — search-effort counters
-included — is identical whether its program ran whole in one worker or
-split across ten, and on a warm worker or a cold one.
+Search state is per-function and per-unit: each function's search runs
+on a fresh :class:`~repro.constraints.SolverContext` with an empty
+:class:`~repro.constraints.SharedSolverCache`.  A warm worker reuses
+only what its cached modules' functions keep in their analysis caches
+(:mod:`repro.analysis.cache`): the analyses, candidate indexes and
+flow verdicts of IR that has not changed.  So a function's
+digest — search-effort counters included — is identical whether its
+program ran whole in one worker or split across ten, and on a warm
+worker or a cold one.
 
 :func:`run_unit_shard` is the in-process driver ``detect_corpus(jobs=1)``
 uses; parallel runs call :func:`detect_unit` from the serving engine's
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from typing import Sequence
 
 # The stages are imported here, not inside the functions that run
@@ -44,12 +46,8 @@ from typing import Sequence
 # detection stack loaded before it forks, so a new or respawned worker
 # never compiles modules on a unit's critical path.
 from ..baselines import icc, polly
-from ..constraints import SolverContext, SolverStats
-from ..idioms.detect import (
-    find_reductions_in_function,
-    module_stamp,
-    record_spec_stats,
-)
+from ..constraints import SolverStats
+from ..idioms.detect import find_reductions_in_function, record_spec_stats
 from ..idioms.registry import IdiomRegistry
 from ..workloads import program
 from .digest import UnitDigest, digest_extensions, digest_function
@@ -138,23 +136,6 @@ class Heartbeat:
         self._stop.set()
 
 
-class _CachedModule:
-    """One :class:`ModuleCache` entry: a compiled module and the solver
-    contexts kept for its functions."""
-
-    __slots__ = ("module", "stamp", "contexts", "seen")
-
-    def __init__(self, module) -> None:
-        self.module = module
-        #: Functions whose context was asked for once already.
-        self.seen: set = set()
-        #: ``module_stamp(module)`` the kept contexts were built at.
-        self.stamp: tuple | None = None
-        #: function → (its context, weak reference to the registry
-        #: whose constraints fill the context's flow memo).
-        self.contexts: dict = {}
-
-
 class ModuleCache:
     """Per-worker compiled-IR cache, optionally LRU-bounded.
 
@@ -171,17 +152,11 @@ class ModuleCache:
     module is rebuilt from source on the next touch, so digests (and
     fingerprints) never depend on the cap.
 
-    Each cached module also keeps one
-    :class:`~repro.constraints.SolverContext` per function that was
-    used more than once, so a warm request skips rebuilding the CFG,
-    dominators, post-dominators, loops, SCEV, control dependences,
-    purity and the flow verdicts of IR that has not changed.  See
-    :meth:`solver_context` for when a context is kept and when it is
-    rebuilt.  The contexts live and die with their module, under the
-    same ``max_entries`` bound, and hold no search state between
-    units; the 345 contexts of all 40 corpus modules took a process
-    that had run three function-granularity corpus sweeps from 30.7 to
-    33.4 MiB RSS, about 8 KB per function.
+    A cached module's functions keep their analyses
+    (:mod:`repro.analysis.cache`), so a warm request builds no CFG,
+    dominator tree, loop nest, SCEV or flow verdict it built before.
+    They live and die with their module, under the same
+    ``max_entries`` bound.
     """
 
     def __init__(self, max_entries: int | None = None) -> None:
@@ -192,7 +167,7 @@ class ModuleCache:
         from collections import OrderedDict
 
         self._max = max_entries
-        self._modules: "OrderedDict[tuple[str, str], _CachedModule]" = (
+        self._modules: "OrderedDict[tuple[str, str], object]" = (
             OrderedDict()
         )
 
@@ -212,57 +187,15 @@ class ModuleCache:
         cached = self._modules.get(key)
         if cached is not None:
             self._modules.move_to_end(key)
-            return cached.module, 0.0
+            return cached, 0.0
         started = time.perf_counter()
         compiled = program(key[0], key[1]).fresh_module()
         seconds = time.perf_counter() - started
-        self._modules[key] = _CachedModule(compiled)
+        self._modules[key] = compiled
         if self._max is not None:
             while len(self._modules) > self._max:
                 self._modules.popitem(last=False)
         return compiled, seconds
-
-    def solver_context(self, key: tuple[str, str], function,
-                       registry) -> SolverContext:
-        """A solver context for ``function`` of the cached module
-        ``key`` (call :meth:`module` first), with an empty search
-        cache, so effort counters match a fresh context's.
-
-        The context built at a function's second use is kept: a
-        one-shot sweep (``detect_corpus(jobs=1)``, the short-lived
-        workers of the parallel corpus verb) touches each function
-        once, and kept contexts would only cost it memory and
-        collector work — keeping from the first use made one cold
-        in-process corpus sweep about 10% slower (median of 8 runs,
-        0.68 → 0.75 s) and 2.6 MiB larger.
-
-        A kept context is reused while
-        :func:`~repro.idioms.detect.module_stamp` of the module is
-        unchanged; a changed stamp (a function mutated, added, removed
-        or re-flagged) drops every kept context of the module.  The
-        flow memo of a reused context is emptied when ``registry`` is
-        not the one it was filled under: its keys pin that registry's
-        constraint objects, which would otherwise outlive the worker's
-        eviction of the registry.
-        """
-        entry = self._modules[key]
-        stamp = module_stamp(entry.module)
-        if stamp != entry.stamp:
-            entry.contexts.clear()
-            entry.stamp = stamp
-        kept = entry.contexts.get(function)
-        if kept is None:
-            ctx = SolverContext(function, entry.module)
-            if function not in entry.seen:
-                entry.seen.add(function)
-                return ctx
-        else:
-            ctx, filled_under = kept
-            ctx.reset_solver_cache()
-            if filled_under() is not registry:
-                ctx.flow_memo.clear()
-        entry.contexts[function] = (ctx, weakref.ref(registry))
-        return ctx
 
 
 def _run_baselines(module):
@@ -308,9 +241,8 @@ def detect_unit(
     detect_seconds = 0.0
     for function in targets:
         started = time.perf_counter()
-        ctx = modules.solver_context(unit.key, function, registry)
-        fr = find_reductions_in_function(function, module, registry, ctx,
-                                         options.extended)
+        fr = find_reductions_in_function(function, module, registry,
+                                         extended=options.extended)
         detect_seconds += time.perf_counter() - started
         if fr.extensions is not None:
             extended = extended + digest_extensions(fr.extensions)
@@ -319,9 +251,6 @@ def detect_unit(
         for name, stats in fr.spec_stats.items():
             record_spec_stats(spec_stats, name, stats)
         functions.append(digest_function(fr))
-        # The search state is per unit; a kept context keeps only its
-        # analyses and flow memo.
-        ctx.reset_solver_cache()
     stage_seconds["detect"] = detect_seconds
 
     icc_count = polly_scops = polly_reductions = None

@@ -73,11 +73,6 @@ class OutlinedTask:
     #: Histogram bases, in parameter order.
     hist_bases: list[Value] = field(default_factory=list)
 
-    @property
-    def scalar_accs(self):
-        """Scalar reductions in out-parameter order."""
-        return self.plan.scalars
-
 
 def outline_loop(module: Module, plan: ParallelPlan,
                  name: str | None = None) -> OutlinedTask:

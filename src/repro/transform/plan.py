@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis.cache import function_analyses
 from ..analysis.defuse import users_outside_loop
 from ..analysis.loops import Loop
-from ..analysis.scev import LoopBounds, ScalarEvolution
+from ..analysis.scev import LoopBounds
 from ..idioms.reports import (
     FunctionReductions,
     HistogramReduction,
@@ -69,12 +70,6 @@ class ParallelPlan:
     def header(self):
         """The loop header block."""
         return self.loop.header
-
-    def reduction_names(self) -> list[str]:
-        """Identifiers of all reductions the plan covers."""
-        return [s.name for s in self.scalars] + [
-            h.name for h in self.histograms
-        ]
 
 
 _IDENTITY = {
@@ -120,8 +115,7 @@ def plan_loop(
     if not scalars and not histograms:
         return TransformFailure(function, loop, "no reductions in loop")
 
-    scev = ScalarEvolution(function)
-    bounds = scev.loop_bounds(loop)
+    bounds = function_analyses(function).scev.loop_bounds(loop)
     if bounds is None:
         return TransformFailure(function, loop, "loop bounds not canonical")
     if not (

@@ -53,10 +53,6 @@ class ProfitabilityReport:
     decisions: list[ProfitabilityDecision] = field(default_factory=list)
     failures: list[TransformFailure] = field(default_factory=list)
 
-    def profitable_plans(self) -> list[ParallelPlan]:
-        """Plans worth outlining."""
-        return [d.plan for d in self.decisions if d.apply]
-
 
 def estimate_speedup(
     coverage: float,

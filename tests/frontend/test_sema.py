@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.frontend import compile_source
+from repro.ir import print_module
 from repro.frontend.ast_nodes import Binary, FloatLit, IntLit, Unary, Var
 from repro.frontend.sema import (
     INTRINSICS,
@@ -72,3 +74,30 @@ def test_eval_int_requires_constant():
         evaluator.eval_int(Var("unknown"), "array dim")
     with pytest.raises(SemaError):
         evaluator.eval_int(FloatLit(2.5), "array dim")
+
+
+def test_const_eval_shifts_only_by_counts_in_0_63():
+    evaluator = ConstEvaluator()
+    shift = lambda op, lhs, count: evaluator.try_eval(
+        Binary(op, IntLit(lhs), IntLit(count)))
+    assert shift("<<", 1, 0) == 1
+    assert shift("<<", 1, 63) == 2**63
+    assert shift(">>", -8, 1) == -4
+    for count in (-1, 64, 70, 100000000):
+        assert shift("<<", 1, count) is None
+        assert shift(">>", 1, count) is None
+
+
+def test_shift_by_a_huge_count_lowers_to_a_shift():
+    """Folding ``1 << 100000000`` built a 12.5 MB int and returned 0;
+    unfolded, the shift reaches the interpreter, which rejects the
+    count."""
+    ir = print_module(compile_source(
+        "int f(void) { return 1 << 100000000; }"))
+    assert "shl i64 1, 100000000" in ir
+    assert "ret i64 0" not in ir
+
+
+def test_array_dimension_shifted_out_of_range_is_a_sema_error():
+    with pytest.raises(SemaError, match="constant integer"):
+        compile_source("int a[1 << 70];\nint f(void) { return 0; }")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.cache import function_analyses
 from repro.ir import (
     DOUBLE,
     INT64,
@@ -107,7 +108,7 @@ def test_function_block_names_uniquified():
 
 def test_value_universe_contents():
     module, fn = _sum_function()
-    universe = fn.value_universe()
+    universe = function_analyses(fn).value_index.universe
     kinds = {type(v).__name__ for v in universe}
     assert "Argument" in kinds
     assert "BasicBlock" in kinds

@@ -1,8 +1,9 @@
 """Every IR mutation bumps the containing function's epoch.
 
-Cached analyses are stamped with the epoch (the solver context that
-``find_reductions`` hands to ``find_extended_reductions``), so a
-mutation that forgets to bump it would let a stale analysis through.
+Cached analyses are keyed on the epoch (each function's analysis
+cache, and the solver context that ``find_reductions`` hands to
+``find_extended_reductions``), so a mutation that forgets to bump it
+would let a stale analysis through.
 """
 
 import pytest

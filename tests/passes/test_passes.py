@@ -15,7 +15,6 @@ from repro.ir import (
 )
 from repro.passes import promote_allocas, promotable_allocas
 from repro.passes.cse import local_cse
-from repro.passes import licm
 from repro.passes.licm import hoist_invariant_loads
 from repro.passes.simplify import (
     dead_code_elimination,
@@ -203,13 +202,13 @@ def test_licm_hoists_in_block_order(key, monkeypatch):
     loads of these programs' preheaders from one compile to the next.
     Hoisting never changes an edge, so each call builds one LoopInfo."""
     builds = [0]
-    original_init = licm.LoopInfo.__init__
+    original_init = LoopInfo.__init__
 
     def counting_init(self, *args, **kwargs):
         builds[0] += 1
         original_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(licm.LoopInfo, "__init__", counting_init)
+    monkeypatch.setattr(LoopInfo, "__init__", counting_init)
     calls = [0]
 
     def counted_hoist(function):

@@ -1,12 +1,12 @@
-"""Warm serving: per-worker task pipes and kept solver contexts.
+"""Warm serving: per-worker task pipes and cached analyses.
 
-A serving worker reads its tasks from a private pipe and keeps one
-solver context (the function's analyses) per function of each cached
-module.  Neither may change a report: a warm request must send the
-digests, effort counters included, that a cold worker would.  And
-neither may leak: recycled, dead and stopped workers leave no file
-descriptor and no child process behind, and an engine collected
-without ``shutdown()`` says so.
+A serving worker reads its tasks from a private pipe, and the
+functions of its cached modules keep their analyses between requests.
+Neither may change a report: a warm request must send the digests,
+effort counters included, that a cold worker would.  And neither may
+leak: recycled, dead and stopped workers leave no file descriptor and
+no child process behind, and an engine collected without
+``shutdown()`` says so.
 """
 
 import gc
@@ -15,15 +15,11 @@ import os
 import subprocess
 import sys
 import warnings
-import weakref
 from pathlib import Path
 
 import pytest
 
-from repro.idioms.detect import find_reductions_in_function
-from repro.ir import BinaryInst, const_int
 from repro.pipeline import PipelineOptions, ServingEngine, detect_corpus
-from repro.pipeline.worker import ModuleCache, _build_registry
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -55,100 +51,6 @@ def test_warm_requests_reproduce_the_serial_reports():
         assert first.fingerprint() == expected_first.fingerprint()
         assert other.fingerprint() == expected_other.fingerprint()
     assert corpus.fingerprint() == reference(None).fingerprint()
-
-
-# -- ModuleCache's kept contexts ----------------------------------------------
-
-
-@pytest.fixture
-def registry():
-    return _build_registry(PipelineOptions())
-
-
-def kept_context(cache, key, function, registry):
-    """The context ``cache`` keeps for ``function``: the one built at
-    its second use."""
-    cache.solver_context(key, function, registry)
-    return cache.solver_context(key, function, registry)
-
-
-def test_a_context_is_kept_from_the_second_use_on(registry):
-    cache = ModuleCache()
-    module, _ = cache.module(FIRST[0])
-    function = next(iter(module.defined_functions()))
-    once = cache.solver_context(FIRST[0], function, registry)
-    twice = cache.solver_context(FIRST[0], function, registry)
-    assert twice is not once
-    assert cache.solver_context(FIRST[0], function, registry) is twice
-
-
-def test_kept_context_is_reused_with_an_empty_search_cache(registry):
-    cache = ModuleCache()
-    module, _ = cache.module(FIRST[0])
-    function = next(iter(module.defined_functions()))
-    ctx = kept_context(cache, FIRST[0], function, registry)
-    cold = find_reductions_in_function(function, module, registry, ctx=ctx)
-    assert ctx._solver_cache is not None
-
-    again = cache.solver_context(FIRST[0], function, registry)
-    assert again is ctx
-    assert ctx._solver_cache is None
-    warm = find_reductions_in_function(function, module, registry, ctx=ctx)
-    assert warm.stats == cold.stats
-    assert warm.spec_stats == cold.spec_stats
-
-
-def test_kept_context_drops_its_flow_memo_under_another_registry(registry):
-    cache = ModuleCache()
-    key = ("histo", "Parboil")
-    module, _ = cache.module(key)
-    contexts = [kept_context(cache, key, function, registry)
-                for function in module.defined_functions()]
-    for ctx in contexts:
-        find_reductions_in_function(ctx.function, module, registry, ctx=ctx)
-    filled = [ctx for ctx in contexts if ctx.flow_memo]
-    assert filled, "no function of the program consulted a flow verdict"
-    ctx = filled[0]
-    assert cache.solver_context(key, ctx.function, registry) is ctx
-    assert ctx.flow_memo
-    other = _build_registry(PipelineOptions())
-    assert cache.solver_context(key, ctx.function, other) is ctx
-    assert ctx.flow_memo == {}
-
-
-def test_kept_contexts_are_rebuilt_after_a_mutation(registry):
-    cache = ModuleCache()
-    module, _ = cache.module(FIRST[0])
-    first, second = list(module.defined_functions())[:2]
-    kept = {f: kept_context(cache, FIRST[0], f, registry)
-            for f in (first, second)}
-    assert cache.solver_context(FIRST[0], first, registry) is kept[first]
-
-    # Mutate one function (and undo it): its epoch moves, so the
-    # module stamp changes and every context of the module is stale.
-    block = second.blocks[0]
-    extra = BinaryInst("add", const_int(1), const_int(2), "extra")
-    block.insert(0, extra)
-    block.remove(extra)
-    rebuilt = cache.solver_context(FIRST[0], first, registry)
-    assert rebuilt is not kept[first]
-    assert cache.solver_context(FIRST[0], second, registry) \
-        is not kept[second]
-    assert cache.solver_context(FIRST[0], first, registry) is rebuilt
-
-
-def test_eviction_drops_the_kept_contexts(registry):
-    cache = ModuleCache(max_entries=1)
-    module, _ = cache.module(FIRST[0])
-    function = next(iter(module.defined_functions()))
-    ctx = weakref.ref(kept_context(cache, FIRST[0], function, registry))
-    del module, function
-    gc.collect()
-    assert ctx() is not None
-    cache.module(FIRST[1])          # evicts FIRST[0]
-    gc.collect()
-    assert ctx() is None
-    assert cache.keys() == [FIRST[1]]
 
 
 # -- the task pipe ------------------------------------------------------------
